@@ -3,8 +3,8 @@
 Restricting the tiling equations to a finite quotient Z^d / L turns the search
 into an exact cover problem, solved by backtracking with per-tile coverage
 counters.  Sweeping candidate lattices by index then finds every solution
-whose stabilizer index stays under a bound.  In one dimension a pigeonhole
-bound on the period makes tiling decidable outright.
+whose stabilizer index stays under a bound.  In one dimension Newman's
+forced-placement automaton decides tiling outright.
 """
 
 from tilekit import (

@@ -182,8 +182,7 @@ def _cmd_solve(args):
     if args.max_index is None:
         raise _UsageError("solve requires --max-index (no general period bound exists)")
     found = search_periodic_cotile(tiles, args.max_index,
-                                   mode="all" if args.all else "first",
-                                   threads=args.threads)
+                                   mode="all" if args.all else "first")
     doc = {"command": "solve", "max_index": args.max_index,
            "solutions": [{"lattice": jsonio.to_document(lat),
                           "members": [list(m) for m in a.sorted_members],
@@ -398,7 +397,6 @@ def build_parser():
     p.add_argument("--tiles", required=True)
     p.add_argument("--max-index", type=int, default=None)
     p.add_argument("--all", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--render", choices=["ascii", "svg"])
     p.add_argument("--window", type=int, default=6)
 

@@ -2,8 +2,8 @@
 
 Covers four layers of machinery: exact cover of a finite quotient by the
 projected tiles (backtracking with per-tile coverage counters), enumeration of
-candidate period lattices, the one-dimensional decision procedure with its
-pigeonhole period bound, and the recoding of translation-invariant constraint
+candidate period lattices, the one-dimensional decision procedure (Newman's
+forced-placement automaton), and the recoding of translation-invariant constraint
 systems into one-dimensional block graphs whose cycles decode to fully
 periodic solutions.
 """
@@ -11,7 +11,6 @@ periodic solutions.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import (
@@ -30,6 +29,7 @@ from .lattice import (
     hnf,
     stabilizer,
     vadd,
+    vneg,
     vscale,
     vsub,
 )
@@ -72,34 +72,60 @@ class SearchProblem:
 _UNKNOWN, _IN, _OUT = 0, 1, 2
 
 
+def _translation_table(lat, f):
+    """Translation by the integer vector f as a permutation of residue indices.
+
+    Entry z is the index of lat.reduce(r_z + f), with residues in the
+    mixed-radix order of Lattice.quotient().  The table is built from the top
+    coordinate down: a carry out of digit k subtracts basis column k from the
+    lower digits, exactly as Lattice.reduce does, so each run of residues with
+    equal top digit is a lower-dimensional table for one of two vectors.
+    """
+    pivots = lat.pivots
+
+    def table(k, g):
+        col = lat.basis[k - 1]
+        p = pivots[k - 1]
+        q, top = divmod(g[k - 1], p)
+        if k == 1:
+            return list(range(top, p)) + list(range(top))
+        low = [g[t] - q * col[t] for t in range(k - 1)]
+        kept = table(k - 1, low)
+        stride = len(kept)
+        # top digits below p - top stay below p; the others carry once more
+        out = [x + w * stride for w in range(top, p) for x in kept]
+        if top:
+            carried = table(k - 1, [a - c for a, c in zip(low, col)])
+            out += [x + w * stride for w in range(top) for x in carried]
+        return out
+
+    return table(lat.dim, list(f))
+
+
 class _CoverSearch:
     """Joint exact cover by backtracking with per-tile coverage counters."""
 
     def __init__(self, problem):
         lat = problem.lattice
-        quotient = lat.quotient()
-        self.q = quotient
-        self.n = len(quotient)
+        self.pivots = lat.pivots
+        self.n = lat.index()
         self.k = len(problem.tiles)
-        n = self.n
         # covers[i][a] = residues covered when a enters the solution (a + F_i)
         # providers[i][y] = residues that would cover y (y - F_i)
-        # translation by a fixed point is a permutation of the quotient, so
-        # each map is computed once and the providers are its inverse
         self.covers = []
         self.providers = []
         for res in problem.projected:
-            perms = []
-            for f in res:
-                perms.append([quotient.index_of[lat.reduce(vadd(r, f))]
-                              for r in quotient.residues])
-            self.covers.append([tuple(perm[ridx] for perm in perms)
-                                for ridx in range(n)])
-            prov = [[] for _ in range(n)]
-            for perm in perms:
-                for z in range(n):
-                    prov[perm[z]].append(z)
-            self.providers.append([tuple(p) for p in prov])
+            self.covers.append(list(zip(*[_translation_table(lat, f) for f in res])))
+            self.providers.append(list(zip(*[_translation_table(lat, vneg(f))
+                                             for f in res])))
+
+    def residue(self, a):
+        """Residue number a in the mixed-radix order of Lattice.quotient()."""
+        digits = []
+        for p in self.pivots:
+            a, r = divmod(a, p)
+            digits.append(r)
+        return tuple(digits)
 
     def run(self, mode, limit=None):
         n, k = self.n, self.k
@@ -154,27 +180,42 @@ class _CoverSearch:
                 else:
                     covered[entry[1]] -= 1
 
-        def search():
-            if all(covered[i] == n for i in range(k)):
-                solutions.append(frozenset(self.q.residues[a]
-                                           for a in range(n) if status[a] == _IN))
-                return mode == "first" or (limit is not None and len(solutions) >= limit)
-            target = next(y for y in range(n) if counts[0][y] == 0)
-            for f_idx in range(len(self.providers[0][target])):
-                a = self.providers[0][target][f_idx]
-                if status[a] != _UNKNOWN:
-                    continue
-                mark = len(trail)
-                if set_in(a) and search():
-                    return True
+        # Depth-first search on an explicit stack, so depth is not bounded by
+        # the recursion limit.  A frame branches on the least residue left
+        # uncovered by tile 1: (its providers, next position, current branch,
+        # trail mark of that branch).
+        # A failed branch is excluded for the remaining branches of its frame.
+        frames = []
+        expand = True
+        while True:
+            if expand:
+                if all(covered[i] == n for i in range(k)):
+                    solutions.append(frozenset(self.residue(a)
+                                               for a in range(n) if status[a] == _IN))
+                    if mode == "first" or (limit is not None and len(solutions) >= limit):
+                        break
+                else:
+                    target = counts[0].index(0)
+                    frames.append((self.providers[0][target], 0, None, 0))
+            expand = False
+            if not frames:
+                break
+            branches, pos, a, mark = frames[-1]
+            if a is not None:
+                # the current branch of this frame has failed
                 undo(mark)
                 if not set_out(a):
                     undo(mark)
-                    return False
-                # a stays excluded for the remaining branches of this target
-            return False
-
-        search()
+                    frames.pop()
+                    continue
+            while pos < len(branches) and status[branches[pos]] != _UNKNOWN:
+                pos += 1
+            if pos == len(branches):
+                frames.pop()
+                continue
+            a = branches[pos]
+            frames[-1] = (branches, pos + 1, a, len(trail))
+            expand = set_in(a)
         return solutions
 
 
@@ -259,38 +300,29 @@ def brute_force_quotient(tiles, lat):
     return found
 
 
-def search_periodic_cotile(tiles, max_index, mode="all", threads=1):
+def search_periodic_cotile(tiles, max_index, mode="all"):
     """Periodic joint co-tiles with stabilizer index up to max_index.
 
     Iterates candidate lattices whose index is a multiple of |F_1|, solves each
     quotient, and deduplicates solutions that are equal as subsets of Z^d by
-    re-presenting each on its full stabilizer.  Returns (stabilizer, set) pairs.
+    re-presenting each on its full stabilizer.  Returns (stabilizer, set) pairs;
+    the "first" mode stops at the first lattice with a solution.
     """
     if max_index < 1:
         raise ValueError("max_index must be positive")
     d = tiles.dim
     size = tiles[0].size
-    candidates = [lat for n in range(size, max_index + 1, size)
-                  for lat in enumerate_sublattices(d, n)]
-
-    def solve_one(lat):
-        return solve_quotient(tiles, lat, mode=("first" if mode == "first" else "all"))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(solve_one, candidates))
-    else:
-        batches = [solve_one(lat) for lat in candidates]
-
     results = {}
-    for batch in batches:
-        for aset in batch:
-            canonical = aset.on_stabilizer()
-            key = (canonical.lattice.basis, canonical.sorted_members)
-            if key not in results:
-                results[key] = (canonical.lattice, canonical)
-                if mode == "first":
-                    return [results[key]]
+    for n in range(size, max_index + 1, size):
+        for lat in enumerate_sublattices(d, n):
+            for aset in solve_quotient(tiles, lat,
+                                       mode=("first" if mode == "first" else "all")):
+                canonical = aset.on_stabilizer()
+                key = (canonical.lattice.basis, canonical.sorted_members)
+                if key not in results:
+                    results[key] = (canonical.lattice, canonical)
+                    if mode == "first":
+                        return [results[key]]
     out = list(results.values())
     out.sort(key=lambda pair: (pair[0].index(), pair[0].basis, pair[1].sorted_members))
     return out
@@ -300,9 +332,11 @@ def search_periodic_cotile(tiles, max_index, mode="all", threads=1):
 class ZTilingResult:
     """Outcome of the one-dimensional decision procedure.
 
-    A None co-tile is a no-tiling verdict: every period up to the pigeonhole
-    bound 2^(diam+1) that passes the divisibility and injectivity filters has
-    been exhausted, and any tiling of Z would be periodic with such a period.
+    periods_checked lists the candidate periods up to the answer that pass
+    the filters: multiples of |F| that divide no difference of two points of
+    F.  A None co-tile is a no-tiling verdict, and the list then runs up to
+    the pigeonhole bound 2^(diam+1); every tiling of Z is periodic with a
+    period below that bound.
     """
 
     cotile: PeriodicSet | None
@@ -318,7 +352,15 @@ class ZTilingResult:
 
 
 def search_Z_cotile(tile):
-    """Decide whether a finite normalized subset of Z tiles the integers."""
+    """Decide whether a finite normalized subset of Z tiles the integers.
+
+    Runs Newman's forced-placement automaton.  Scanning Z upwards, a state is
+    the coverage of the next diam cells by the translates placed so far; an
+    uncovered cell must be the least point of a new translate, so each state
+    has at most one successor.  Tilings of Z are the cycles of this functional
+    graph, and the shortest cycle is the least period of a tiling.  The
+    co-tile is the first solution of the quotient search at that period.
+    """
     if tile.dim != 1:
         raise ValueError("this search is one-dimensional")
     if not tile.is_normalized:
@@ -327,16 +369,41 @@ def search_Z_cotile(tile):
     bound = 2 ** (diam + 1)
     size = tile.size
     diffs = {abs(a[0] - b[0]) for a in tile.points for b in tile.points if a != b}
-    checked = []
-    tup = TileTuple.make([tile])
-    for p in range(size, bound + 1, size):
-        if any(dd % p == 0 for dd in diffs):
+    low = min(p[0] for p in tile.points)
+    shape = sum(1 << (p[0] - low) for p in tile.points)
+    period = None
+    seen = bytearray(1 << diam)
+    for start in range(1 << diam):
+        if seen[start]:
             continue
-        checked.append(p)
-        found = solve_quotient(tup, Lattice.diagonal([p]), mode="first")
-        if found:
-            return ZTilingResult(found[0], bound, tuple(checked))
-    return ZTilingResult(None, bound, tuple(checked))
+        position = {}
+        state = start
+        while not seen[state]:
+            seen[state] = 1
+            position[state] = len(position)
+            if state & 1:
+                state >>= 1
+            elif state & shape:
+                break  # the forced translate overlaps: a dead end
+            else:
+                state = (state | shape) >> 1
+        else:
+            # the walk reached a seen state; it closes a new cycle when that
+            # state was seen on this walk
+            if state in position:
+                cycle = len(position) - position[state]
+                if period is None or cycle < period:
+                    period = cycle
+    last = bound if period is None else period
+    checked = tuple(p for p in range(size, last + 1, size)
+                    if not any(dd % p == 0 for dd in diffs))
+    if period is None:
+        return ZTilingResult(None, bound, checked)
+    found = solve_quotient(TileTuple.make([tile]), Lattice.diagonal([period]), mode="first")
+    if not found:
+        raise AssertionError(f"no co-tile of period {period} for a cycle of the "
+                             "placement automaton; this is a bug")
+    return ZTilingResult(found[0], bound, checked)
 
 
 def independent_cotile_index_bound(tiles, value_width=1):

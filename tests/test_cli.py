@@ -90,6 +90,15 @@ def test_solve_exhausted_exit_code(capsys):
     assert code == 3
 
 
+def test_solve_one_point_tile_large_bound(capsys, tmp_path):
+    path = tmp_path / "point.json"
+    jsonio.dump(Tile.make(1, [(0,)]), path)
+    code, out, err = run(capsys, "solve", "--tiles", str(path), "--max-index", "1100")
+    assert code == 0, err
+    assert out.splitlines() == ["1 solution(s) with stabilizer index <= 1100",
+                                "  lattice [[1]] members [(0,)]"]
+
+
 def test_independent_and_star(capsys):
     code, out, _ = run(capsys, "--json", "independent",
                        "--tiles", fx("box_pair_z3_tiles.json"))

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tilekit.errors import InputContractError, NotACotileError, NotAPartitionError
 from tilekit.lattice import Lattice, PeriodicSet, enumerate_sublattices, hnf, stabilizer
@@ -102,6 +104,44 @@ def test_solve_matches_brute_force_on_random_instances():
         assert fast == slow, (tup, lat)
 
 
+@st.composite
+def _quotient_instances(draw):
+    d = draw(st.integers(1, 3))
+    pivots = [1] * d
+    for i in range(d):
+        rest = 12
+        for p in pivots[:i]:
+            rest //= p
+        pivots[i] = draw(st.integers(1, rest))
+    cols = [[0] * d for _ in range(d)]
+    for j in range(d):
+        cols[j][j] = pivots[j]
+        for i in range(j):
+            cols[j][i] = draw(st.integers(0, pivots[i] - 1))
+    lat = Lattice(d, tuple(tuple(c) for c in cols))
+    point = st.tuples(*[st.integers(-3, 3)] * d)
+    tiles = [Tile.make(d, {(0,) * d} | draw(st.sets(point, max_size=3)))
+             for _ in range(draw(st.integers(1, 2)))]
+    return TileTuple.make(tiles), lat
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_quotient_instances())
+def test_solve_matches_brute_force_on_drawn_hnf_lattices(instance):
+    tiles, lat = instance
+    assert hnf(lat.dim, lat.basis) == lat and lat.index() <= 12
+    assert ([s.members for s in solve_quotient(tiles, lat, mode="all")]
+            == [s.members for s in brute_force_quotient(tiles, lat)])
+
+
+def test_solve_quotient_depth_beyond_recursion_limit():
+    # one branch per residue: 1200 nested choices
+    tiles = TileTuple.make([Tile.make(1, [(0,)])])
+    sols = solve_quotient(tiles, Lattice.diagonal([1200]))
+    assert len(sols) == 1
+    assert len(sols[0].members) == 1200
+
+
 def test_search_periodic_cotile_box_pair():
     tiles = box_pair()
     found = search_periodic_cotile(tiles, 4)
@@ -129,14 +169,6 @@ def test_search_periodic_cotile_deduplicates():
     assert all(lat == Lattice.diagonal([2]) for lat, _ in found)
 
 
-def test_search_periodic_cotile_threads_match():
-    tiles = box_pair()
-    serial = search_periodic_cotile(tiles, 4)
-    parallel = search_periodic_cotile(tiles, 4, threads=4)
-    assert [(l.basis, a.sorted_members) for l, a in serial] == \
-        [(l.basis, a.sorted_members) for l, a in parallel]
-
-
 def test_search_Z_cotile_six_block_no_tiling():
     res = search_Z_cotile(six_block())
     assert not res.tiles
@@ -152,8 +184,38 @@ def test_search_Z_cotile_small_cases():
     assert verify.is_tiling(Tile.make(1, [(0,), (2,)]), res.cotile).ok
 
 
+def _per_period_search_Z(tile):
+    """Reference decider: one quotient search per candidate period, up to
+    the pigeonhole bound 2^(diam+1)."""
+    diam = tile.diameter()
+    bound = 2 ** (diam + 1)
+    diffs = {abs(a[0] - b[0]) for a in tile.points for b in tile.points if a != b}
+    checked = []
+    for p in range(tile.size, bound + 1, tile.size):
+        if any(dd % p == 0 for dd in diffs):
+            continue
+        checked.append(p)
+        found = solve_quotient(TileTuple.make([tile]), Lattice.diagonal([p]), mode="first")
+        if found:
+            return found[0], bound, tuple(checked)
+    return None, bound, tuple(checked)
+
+
+def test_search_Z_matches_per_period_search():
+    # every normalized tile of diameter at most 6, with 0 as its least and
+    # as its greatest point
+    for diam in range(7):
+        for inner in itertools.chain.from_iterable(
+                itertools.combinations(range(1, diam), k) for k in range(diam)):
+            points = {0, diam, *inner}
+            for shift in {0, -diam}:
+                tile = Tile.make(1, [(p + shift,) for p in points])
+                res = search_Z_cotile(tile)
+                assert (res.cotile, res.period_bound, res.periods_checked) \
+                    == _per_period_search_Z(tile), tile
+
+
 def _cross_validate_z(diams):
-    import itertools
     for diam in diams:
         for inner in itertools.chain.from_iterable(
                 itertools.combinations(range(1, diam), k) for k in range(diam)):
@@ -173,7 +235,7 @@ def test_search_Z_agrees_with_lattice_search():
 
 @pytest.mark.slow
 def test_search_Z_agrees_with_lattice_search_full_bound():
-    # completes the cross-validation up to diameter 8 (about 90 seconds)
+    # completes the cross-validation up to diameter 8
     _cross_validate_z((7, 8))
 
 
