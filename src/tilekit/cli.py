@@ -371,14 +371,10 @@ def build_parser():
                      description="Exact computation with translational tilings of Z^d")
     parser.add_argument("--json", action="store_true", default=False,
                         help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized fixture generation (reserved; "
-                        "all shipped algorithms are deterministic)")
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
+    # --json is also accepted after the subcommand; SUPPRESS keeps the
     # pre-subcommand value when the flag is absent there
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):

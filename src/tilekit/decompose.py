@@ -18,6 +18,7 @@ nodes, and polynomial-map testing via iterated discrete derivatives.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,17 +29,22 @@ from .errors import (
     PropertyStarRequiredError,
     RankDeficientError,
 )
-from .lattice import hnf, vadd, vscale, vsub
-from .tiles import PeriodicRationalFunction, dilate
+from .lattice import hnf, vadd, vscale
+from .tiles import PeriodicRationalFunction, WeightedTile, convolve, dilate
 from . import verify
 from .analysis import has_property_star
+
+
+def is_prime(n):
+    """Trial division; False below 2."""
+    return n >= 2 and all(n % p for p in range(2, int(n ** 0.5) + 1))
 
 
 def primorial(bound):
     """Product of all primes up to bound (1 when bound < 2)."""
     q = 1
     for n in range(2, bound + 1):
-        if all(n % p for p in range(2, int(n ** 0.5) + 1)):
+        if is_prime(n):
             q *= n
     return q
 
@@ -105,23 +111,17 @@ class DecompositionTree:
 
 def _chain_average(fn, q, chain, orders):
     """Exact average of f(x - sum (1 + n_j q) v_j) over one full multi-period."""
-    lat = fn.lattice
     total_count = 1
     for m in orders:
         total_count *= m
-    shifts = []
+    counts = {}
     for ns in itertools.product(*[range(1, m + 1) for m in orders]):
-        shift = (0,) * lat.dim
+        shift = (0,) * fn.dim
         for n_j, v_j in zip(ns, chain):
             shift = vadd(shift, vscale(1 + n_j * q, v_j))
-        shifts.append(shift)
-    values = {}
-    for r in lat.quotient():
-        acc = Fraction(0)
-        for shift in shifts:
-            acc += fn.values[lat.reduce(vsub(r, shift))]
-        values[r] = acc / total_count
-    return PeriodicRationalFunction(lat, values)
+        shift = fn.lattice.reduce(shift)
+        counts[shift] = counts.get(shift, 0) + 1
+    return convolve(WeightedTile.make(fn.dim, counts), fn).scale(Fraction(1, total_count))
 
 
 def build_decomposition(tiles, fn, levels=None):
@@ -327,7 +327,7 @@ def _lattice_in_subspace(space):
     for vec in normals:
         den = 1
         for x in vec:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = den * x.denominator // math.gcd(den, x.denominator)
         int_normals.append([int(x * den) for x in vec])
     m = len(int_normals)
     ext = []
@@ -338,17 +338,11 @@ def _lattice_in_subspace(space):
     return hnf(d, kernel)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def discrete_derivative(fn, v):
     """(D_v f)(w) = f(w) - f(w - v)."""
-    lat = fn.lattice
-    return PeriodicRationalFunction(
-        lat, {r: fn.values[r] - fn.values[lat.reduce(vsub(r, v))] for r in fn.values})
+    weights = {(0,) * fn.dim: 1}
+    weights[tuple(v)] = weights.get(tuple(v), 0) - 1
+    return convolve(WeightedTile.make(fn.dim, weights), fn)
 
 
 def is_polynomial_map(fn, gamma, degree):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import RankDeficientError
@@ -256,20 +257,10 @@ class Lattice:
         return self.intersect(other)
 
     def quotient(self):
-        """Fundamental domain of a full-rank lattice, residues in mixed-radix order."""
+        """Z^dim / L with residues in mixed-radix order (full rank only)."""
         if not self.is_full_rank:
             raise RankDeficientError("quotient requires a full-rank lattice")
-        pivots = self.pivots
-        total = self.index()
-        residues = []
-        for n in range(total):
-            digits = []
-            t = n
-            for p in pivots:
-                digits.append(t % p)
-                t //= p
-            residues.append(tuple(digits))
-        return QuotientGroup(self, tuple(residues))
+        return QuotientGroup(self)
 
     def scale(self, r):
         """The sublattice r * L."""
@@ -316,15 +307,61 @@ class Lattice:
 
 
 class QuotientGroup:
-    """Z^d / L for a full-rank L: ordered canonical residues with lookup."""
+    """Z^d / L for a full-rank L, with residues numbered 0..index-1.
 
-    def __init__(self, lattice, residues):
+    Residue number a has digits a_i in [0, pivot_i) with the first coordinate
+    varying fastest: a = a_0 + p_0 * (a_1 + p_1 * (a_2 + ...)).  This class is
+    the only code that knows that order; residues and index_of are built on
+    first use.
+    """
+
+    def __init__(self, lattice):
         self.lattice = lattice
-        self.residues = residues
-        self.index_of = {r: i for i, r in enumerate(residues)}
+        self.pivots = lattice.pivots
+
+    @cached_property
+    def residues(self):
+        # tuple() of a list allocates at the final size; from a generator it
+        # resizes, and CPython's tuple free list then never reuses the result
+        return tuple([digits[::-1] for digits in
+                      itertools.product(*[range(p) for p in reversed(self.pivots)])])
+
+    @cached_property
+    def index_of(self):
+        return {r: i for i, r in enumerate(self.residues)}
+
+    def translation(self, v):
+        """Translation by the integer vector v as a permutation of residue numbers.
+
+        Entry a is the number of lattice.reduce(residues[a] + v).  The table is
+        built from the top coordinate down: a carry out of digit k subtracts
+        basis column k from the lower digits, exactly as Lattice.reduce does,
+        so each run of residues with equal top digit is a lower-dimensional
+        table for one of two vectors.
+        """
+        return self._table(len(self.pivots), list(v))
+
+    def _table(self, k, g):
+        """Translation table of the first k coordinates by the vector g."""
+        col = self.lattice.basis[k - 1]
+        p = self.pivots[k - 1]
+        q, top = divmod(g[k - 1], p)
+        if k == 1:
+            return list(range(top, p)) + list(range(top))
+        low = [g[t] - q * col[t] for t in range(k - 1)]
+        kept = self._table(k - 1, low)
+        if p == 1:
+            return kept
+        stride = len(kept)
+        # top digits below p - top stay below p; the others carry once more
+        out = [x + s for s in range(top * stride, p * stride, stride) for x in kept]
+        if top:
+            carried = self._table(k - 1, [a - c for a, c in zip(low, col)])
+            out += [x + s for s in range(0, top * stride, stride) for x in carried]
+        return out
 
     def __len__(self):
-        return len(self.residues)
+        return self.lattice.index()
 
     def __iter__(self):
         return iter(self.residues)
@@ -444,15 +481,34 @@ class PeriodicSet:
 
 
 def stabilizer(aset):
-    """Full stabilizer {v : A + v = A} of a periodic set, as a canonical Lattice.
-
-    Tests which residue shifts permute the members, then sums the found shifts
-    with the presentation lattice.
-    """
-    lat = aset.lattice
-    gens = list(lat.basis)
+    """Full stabilizer {v : A + v = A} of a periodic set, as a canonical Lattice."""
     members = aset.members
-    for r in lat.quotient():
-        if any(r) and all(lat.reduce(vadd(m, r)) in members for m in members):
-            gens.append(r)
-    return hnf(lat.dim, gens)
+    return label_stabilizer(aset.lattice, {r: r in members for r in aset.lattice.quotient()})
+
+
+def label_stabilizer(lat, labels):
+    """Full stabilizer {v : label(x + v) = label(x) for all x} of a labelling.
+
+    labels maps every canonical residue of the full-rank lattice lat to a
+    hashable label.  A stabilizing v moves the least frequent label class C
+    onto itself, so v = x - x0 for some x in C and a fixed x0 in C; only those
+    shifts are tried, and a shift already in the lattice found so far needs no
+    test.  A shift stabilizes when it keeps the label of every residue outside
+    the largest class: translation is a bijection, so the largest class is
+    then kept too.
+    """
+    classes = {}
+    for r, label in labels.items():
+        classes.setdefault(label, []).append(r)
+    by_size = sorted(classes.values(), key=len)
+    rare = by_size[0]
+    tested = [r for cls in by_size[:-1] for r in cls]
+    x0 = rare[0]
+    found = lat
+    for x in rare:
+        v = vsub(x, x0)
+        if found.contains(v):
+            continue
+        if all(labels[lat.reduce(vadd(r, v))] == labels[r] for r in tested):
+            found = hnf(lat.dim, found.basis + (v,))
+    return found

@@ -72,60 +72,21 @@ class SearchProblem:
 _UNKNOWN, _IN, _OUT = 0, 1, 2
 
 
-def _translation_table(lat, f):
-    """Translation by the integer vector f as a permutation of residue indices.
-
-    Entry z is the index of lat.reduce(r_z + f), with residues in the
-    mixed-radix order of Lattice.quotient().  The table is built from the top
-    coordinate down: a carry out of digit k subtracts basis column k from the
-    lower digits, exactly as Lattice.reduce does, so each run of residues with
-    equal top digit is a lower-dimensional table for one of two vectors.
-    """
-    pivots = lat.pivots
-
-    def table(k, g):
-        col = lat.basis[k - 1]
-        p = pivots[k - 1]
-        q, top = divmod(g[k - 1], p)
-        if k == 1:
-            return list(range(top, p)) + list(range(top))
-        low = [g[t] - q * col[t] for t in range(k - 1)]
-        kept = table(k - 1, low)
-        stride = len(kept)
-        # top digits below p - top stay below p; the others carry once more
-        out = [x + w * stride for w in range(top, p) for x in kept]
-        if top:
-            carried = table(k - 1, [a - c for a, c in zip(low, col)])
-            out += [x + w * stride for w in range(top) for x in carried]
-        return out
-
-    return table(lat.dim, list(f))
-
-
 class _CoverSearch:
     """Joint exact cover by backtracking with per-tile coverage counters."""
 
     def __init__(self, problem):
-        lat = problem.lattice
-        self.pivots = lat.pivots
-        self.n = lat.index()
+        self.quotient = problem.lattice.quotient()
+        self.n = len(self.quotient)
         self.k = len(problem.tiles)
         # covers[i][a] = residues covered when a enters the solution (a + F_i)
         # providers[i][y] = residues that would cover y (y - F_i)
         self.covers = []
         self.providers = []
         for res in problem.projected:
-            self.covers.append(list(zip(*[_translation_table(lat, f) for f in res])))
-            self.providers.append(list(zip(*[_translation_table(lat, vneg(f))
+            self.covers.append(list(zip(*[self.quotient.translation(f) for f in res])))
+            self.providers.append(list(zip(*[self.quotient.translation(vneg(f))
                                              for f in res])))
-
-    def residue(self, a):
-        """Residue number a in the mixed-radix order of Lattice.quotient()."""
-        digits = []
-        for p in self.pivots:
-            a, r = divmod(a, p)
-            digits.append(r)
-        return tuple(digits)
 
     def run(self, mode, limit=None):
         n, k = self.n, self.k
@@ -190,8 +151,9 @@ class _CoverSearch:
         while True:
             if expand:
                 if all(covered[i] == n for i in range(k)):
-                    solutions.append(frozenset(self.residue(a)
-                                               for a in range(n) if status[a] == _IN))
+                    residues = self.quotient.residues
+                    solutions.append(frozenset(residues[a] for a in range(n)
+                                               if status[a] == _IN))
                     if mode == "first" or (limit is not None and len(solutions) >= limit):
                         break
                 else:
@@ -308,6 +270,8 @@ def search_periodic_cotile(tiles, max_index, mode="all"):
     re-presenting each on its full stabilizer.  Returns (stabilizer, set) pairs;
     the "first" mode stops at the first lattice with a solution.
     """
+    if mode not in ("all", "first"):
+        raise ValueError("mode must be 'all' or 'first'")
     if max_index < 1:
         raise ValueError("max_index must be positive")
     d = tiles.dim
@@ -315,8 +279,7 @@ def search_periodic_cotile(tiles, max_index, mode="all"):
     results = {}
     for n in range(size, max_index + 1, size):
         for lat in enumerate_sublattices(d, n):
-            for aset in solve_quotient(tiles, lat,
-                                       mode=("first" if mode == "first" else "all")):
+            for aset in solve_quotient(tiles, lat, mode=mode):
                 canonical = aset.on_stabilizer()
                 key = (canonical.lattice.basis, canonical.sorted_members)
                 if key not in results:

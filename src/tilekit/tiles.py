@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RankDeficientError
-from .lattice import Lattice, PeriodicSet, hnf, vadd, vsub, vscale
+from .lattice import Lattice, PeriodicSet, label_stabilizer, vadd, vneg, vsub, vscale
 
 
 @dataclass(frozen=True)
@@ -201,9 +201,7 @@ class PeriodicRationalFunction:
 
     def shift(self, v):
         """The function x -> f(x + v)."""
-        return PeriodicRationalFunction(
-            self.lattice,
-            {r: self.values[self.lattice.reduce(vadd(r, v))] for r in self.values})
+        return convolve(WeightedTile.delta(self.dim, vneg(v)), self)
 
     def refine(self, sub):
         if not self.lattice.contains_lattice(sub):
@@ -270,13 +268,7 @@ class PeriodicRationalFunction:
 
     def stabilizer(self):
         """Full stabilizer {v : f(x + v) = f(x) for all x} as a canonical Lattice."""
-        lat = self.lattice
-        gens = list(lat.basis)
-        for r in lat.quotient():
-            if any(r) and all(self.values[lat.reduce(vadd(x, r))] == self.values[x]
-                              for x in self.values):
-                gens.append(r)
-        return hnf(lat.dim, gens)
+        return label_stabilizer(self.lattice, self.values)
 
     def support_set(self):
         """Members where the function is nonzero, as a PeriodicSet (0/1 functions)."""
@@ -301,10 +293,13 @@ def convolve(g, f):
     if g.dim != f.dim:
         raise ValueError("dimension mismatch in convolution")
     lat = f.lattice
-    values = {}
-    for r in lat.quotient():
-        acc = Fraction(0)
-        for y, w in g.entries:
-            acc += w * f.values[lat.reduce(vsub(r, y))]
-        values[r] = acc
-    return PeriodicRationalFunction(lat, values)
+    quotient = lat.quotient()
+    residues = quotient.residues
+    values = [f.values[r] for r in residues]
+    acc = None
+    for y, w in g.entries:
+        moved = [values[b] for b in quotient.translation(vneg(y))]
+        if w != 1:
+            moved = [w * x for x in moved]
+        acc = moved if acc is None else [a + x for a, x in zip(acc, moved)]
+    return PeriodicRationalFunction(lat, dict(zip(residues, acc or [Fraction(0)] * len(residues))))

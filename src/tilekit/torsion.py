@@ -21,19 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyOrFullError, NotACotileError, NotPrimeError
+from .decompose import is_prime
 from .lattice import Lattice, PeriodicSet
 from .tiles import Tile
 from . import verify as _verify
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p ** 0.5) + 1))
-
-
 def _require_prime(p):
-    if not _is_prime(p):
+    if not is_prime(p):
         raise NotPrimeError(f"modulus {p} is not prime")
 
 

@@ -2,6 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from tilekit.lattice import Lattice, PeriodicSet, vadd, vscale
 from tilekit.tiles import Tile, TileTuple
@@ -63,3 +64,21 @@ def seeded_independent_tuple(lat, count, seed, tries=500):
             assert verify.is_joint_cotile(tiles, aset).ok
             return tiles, aset
     raise RuntimeError(f"no independent tuple found for {lat} with seed {seed}")
+
+
+@st.composite
+def hnf_lattices(draw, max_index):
+    """Canonical full-rank lattices of dimension 1 to 3 and index <= max_index."""
+    d = draw(st.integers(1, 3))
+    pivots = [1] * d
+    for i in range(d):
+        rest = max_index
+        for p in pivots[:i]:
+            rest //= p
+        pivots[i] = draw(st.integers(1, rest))
+    cols = [[0] * d for _ in range(d)]
+    for j in range(d):
+        cols[j][j] = pivots[j]
+        for i in range(j):
+            cols[j][i] = draw(st.integers(0, pivots[i] - 1))
+    return Lattice(d, tuple(tuple(c) for c in cols))

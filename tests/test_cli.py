@@ -221,3 +221,4 @@ def test_dimension_mismatch_is_contract_error(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
+    assert main(["--seed", "1", "stabilizer", "--cotile", fx("box_pair_z3_cotile.json")]) == 1

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tilekit.errors import RankDeficientError
 from tilekit.lattice import (
@@ -13,6 +15,8 @@ from tilekit.lattice import (
     stabilizer,
     vadd,
 )
+from tilekit.tiles import PeriodicRationalFunction, indicator
+from conftest import hnf_lattices
 
 
 def test_hnf_identity_is_canonical():
@@ -187,6 +191,70 @@ def test_stabilizer_contains_lattice_and_fixes_set():
         assert stab.contains_lattice(lat)
         for col in stab.basis:
             assert aset.translate(col).members == aset.members
+
+
+def test_stabilizer_of_domino_cotile_on_40_torus():
+    # the horizontal domino co-tile 2Z x Z, presented on 40Z x 40Z
+    aset = PeriodicSet.make(Lattice.diagonal([40, 40]),
+                            [(x, y) for x in range(0, 40, 2) for y in range(40)])
+    expected = hnf(2, [(2, 0), (0, 1)])
+    assert stabilizer(aset) == expected
+    assert indicator(aset).stabilizer() == expected
+
+
+def _reference_stabilizer(lat, label):
+    """Every residue shift that keeps the label of every residue, by brute force."""
+    residues = list(itertools.product(*[range(p) for p in lat.pivots]))
+    gens = list(lat.basis)
+    for r in residues:
+        if all(label(lat.reduce(vadd(x, r))) == label(x) for x in residues):
+            gens.append(r)
+    return hnf(lat.dim, gens)
+
+
+@st.composite
+def _labellings(draw):
+    """A lattice, and labels 0..2 on its residues; when a drawn shift w is
+    imposed, every orbit of translation by w gets one label."""
+    lat = draw(hnf_lattices(24))
+    residues = list(itertools.product(*[range(p) for p in lat.pivots]))
+    labels = {r: draw(st.integers(0, 2)) for r in residues}
+    if draw(st.booleans()):
+        w = draw(st.tuples(*[st.integers(-5, 5)] * lat.dim))
+        for r in residues:
+            orbit = [r]
+            while lat.reduce(vadd(orbit[-1], w)) != r:
+                orbit.append(lat.reduce(vadd(orbit[-1], w)))
+            labels[r] = labels[min(orbit)]
+    return lat, labels
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hnf_lattices(24), st.tuples(*[st.integers(-30, 30)] * 3))
+def test_translation_table_matches_reduce(lat, v):
+    v = v[:lat.dim]
+    q = lat.quotient()
+    table = q.translation(v)
+    assert sorted(table) == list(range(len(q)))
+    for a, r in enumerate(q.residues):
+        assert table[a] == q.index_of[lat.reduce(vadd(r, v))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_labellings())
+def test_set_stabilizer_matches_reference_loop(instance):
+    lat, labels = instance
+    members = [r for r, label in labels.items() if label == 0]
+    aset = PeriodicSet.make(lat, members)
+    assert stabilizer(aset) == _reference_stabilizer(lat, lambda r: r in aset.members)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_labellings())
+def test_function_stabilizer_matches_reference_loop(instance):
+    lat, labels = instance
+    fn = PeriodicRationalFunction.make(lat, {r: label - 1 for r, label in labels.items()})
+    assert fn.stabilizer() == _reference_stabilizer(lat, lambda r: labels[r])
 
 
 def test_periodic_set_refine_and_same_set():

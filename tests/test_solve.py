@@ -21,7 +21,7 @@ from tilekit.solve import (
 )
 from tilekit.tiles import Tile, TileTuple
 from tilekit import verify
-from conftest import box_cotile, box_pair, six_block
+from conftest import box_cotile, box_pair, hnf_lattices, six_block
 
 
 def test_solve_quotient_box_pair_all():
@@ -106,19 +106,8 @@ def test_solve_matches_brute_force_on_random_instances():
 
 @st.composite
 def _quotient_instances(draw):
-    d = draw(st.integers(1, 3))
-    pivots = [1] * d
-    for i in range(d):
-        rest = 12
-        for p in pivots[:i]:
-            rest //= p
-        pivots[i] = draw(st.integers(1, rest))
-    cols = [[0] * d for _ in range(d)]
-    for j in range(d):
-        cols[j][j] = pivots[j]
-        for i in range(j):
-            cols[j][i] = draw(st.integers(0, pivots[i] - 1))
-    lat = Lattice(d, tuple(tuple(c) for c in cols))
+    lat = draw(hnf_lattices(12))
+    d = lat.dim
     point = st.tuples(*[st.integers(-3, 3)] * d)
     tiles = [Tile.make(d, {(0,) * d} | draw(st.sets(point, max_size=3)))
              for _ in range(draw(st.integers(1, 2)))]
@@ -159,6 +148,12 @@ def test_search_periodic_cotile_origin_tile():
     found = search_periodic_cotile(tiles, 1)
     assert len(found) == 1
     assert found[0][1].same_set(PeriodicSet.make(Lattice.identity(2), [(0, 0)]))
+
+
+def test_search_periodic_cotile_rejects_unknown_mode():
+    tiles = TileTuple.make([Tile.make(1, [(0,), (1,)])])
+    with pytest.raises(ValueError):
+        search_periodic_cotile(tiles, 8, mode="frist")
 
 
 def test_search_periodic_cotile_deduplicates():
