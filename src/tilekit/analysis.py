@@ -13,30 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotIndependentError, WrongArityError
-
-
-def _rref(rows):
-    """Reduced row echelon form over Q; returns (rows, pivot_columns)."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return [], []
-    width = len(work[0])
-    row = 0
-    pivots = []
-    for col in range(width):
-        pr = next((i for i in range(row, len(work)) if work[i][col] != 0), None)
-        if pr is None:
-            continue
-        work[row], work[pr] = work[pr], work[row]
-        inv = 1 / work[row][col]
-        work[row] = [a * inv for a in work[row]]
-        for i in range(len(work)):
-            if i != row and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[row])]
-        pivots.append(col)
-        row += 1
-    return work[:row], pivots
+from .lattice import _rref
 
 
 def rank_of(vectors):
@@ -103,30 +80,28 @@ def is_independent_tuple(t):
     if len(active) > d:
         witness = tuple(s[0] for s in stars if s)
         return IndependenceResult(False, witness)
-    chosen = []
-
-    def extend(index, rows):
-        """Return a dependent completion, or None if every branch stays free."""
-        if index == len(stars):
-            return None
-        if not stars[index]:
-            return extend(index + 1, rows)
-        for v in stars[index]:
-            new_rows, _ = _rref(rows + [list(v)])
-            if len(new_rows) == len(rows):
-                tail = tuple(s[0] for s in stars[index + 1:] if s)
-                return tuple(chosen) + (v,) + tail
-            chosen.append(v)
-            bad = extend(index + 1, [list(r) for r in new_rows])
-            chosen.pop()
-            if bad is not None:
-                return bad
-        return None
-
-    bad = extend(0, [])
+    bad = _dependent_completion(stars, 0, [], ())
     if bad is not None:
         return IndependenceResult(False, bad)
     return IndependenceResult(True, None)
+
+
+def _dependent_completion(stars, index, rows, chosen):
+    """A dependent full selection extending the picks `chosen` from stars[:index],
+    whose rref rows are `rows`; None if every branch stays independent."""
+    if index == len(stars):
+        return None
+    if not stars[index]:
+        return _dependent_completion(stars, index + 1, rows, chosen)
+    for v in stars[index]:
+        new_rows, _ = _rref(rows + [list(v)])
+        if len(new_rows) == len(rows):
+            tail = tuple(s[0] for s in stars[index + 1:] if s)
+            return chosen + (v,) + tail
+        bad = _dependent_completion(stars, index + 1, new_rows, chosen + (v,))
+        if bad is not None:
+            return bad
+    return None
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ document on stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -366,6 +367,8 @@ def _cmd_stabilizer(args):
     return EXIT_OK
 
 
+# parsing keeps no state in the parser, so one parser serves every main() call
+@functools.cache
 def build_parser():
     parser = _Parser(prog="tilekit",
                      description="Exact computation with translational tilings of Z^d")

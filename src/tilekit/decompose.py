@@ -304,8 +304,7 @@ def psi_by_span(tree, classes):
 
 def _lattice_in_subspace(space):
     """The lattice of integer points inside a rational subspace."""
-    from .lattice import _integer_kernel
-    from .analysis import _rref
+    from .lattice import _integer_kernel, _rref
 
     d = space.dim_ambient
     # rational normals: nullspace of the subspace basis

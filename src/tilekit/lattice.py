@@ -126,6 +126,31 @@ def _integer_kernel(columns, top):
     return [tuple(c[top:]) for c in cols[fixed:]]
 
 
+def _rref(rows):
+    """Reduced row echelon form over Q; returns (rows, pivot_columns)."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    if not work:
+        return [], []
+    width = len(work[0])
+    row = 0
+    pivots = []
+    for col in range(width):
+        pr = next((i for i in range(row, len(work)) if work[i][col]), None)
+        if pr is None:
+            continue
+        work[row], work[pr] = work[pr], work[row]
+        pivot = work[row][col]
+        if pivot != 1:
+            work[row] = [a / pivot for a in work[row]]
+        for i in range(len(work)):
+            f = work[i][col]
+            if f and i != row:
+                work[i] = [a - f * b for a, b in zip(work[i], work[row])]
+        pivots.append(col)
+        row += 1
+    return work[:row], pivots
+
+
 def _solve_rational(columns, target):
     """Solve sum_j a_j * columns[j] = target over Q.
 
@@ -133,30 +158,12 @@ def _solve_rational(columns, target):
     Columns are assumed linearly independent (canonical bases always are).
     """
     k = len(columns)
-    if k == 0:
-        return () if not any(target) else None
-    d = len(target)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(d)]
-    row = 0
-    piv_cols = []
-    for col in range(k):
-        pr = next((i for i in range(row, d) if aug[i][col] != 0), None)
-        if pr is None:
-            continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        for i in range(d):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col] / aug[row][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        piv_cols.append(col)
-        row += 1
-    for i in range(row, d):
-        if aug[i][k] != 0:
-            return None
+    rows, pivots = _rref([[c[i] for c in columns] + [t] for i, t in enumerate(target)])
+    if k in pivots:
+        return None
     coeffs = [Fraction(0)] * k
-    for rr, col in enumerate(piv_cols):
-        coeffs[col] = aug[rr][k] / aug[rr][col]
+    for row, col in zip(rows, pivots):
+        coeffs[col] = row[k]
     return tuple(coeffs)
 
 
@@ -267,19 +274,11 @@ class Lattice:
         return hnf(self.dim, [vscale(r, c) for c in self.basis])
 
     def order_of(self, v):
-        """Additive order of v in Z^dim / L (full rank only)."""
-        r = self.reduce(v)
-        if not any(r):
-            return 1
-        acc = r
-        order = 1
-        bound = self.index()
-        while any(acc):
-            acc = self.reduce(vadd(acc, r))
-            order += 1
-            if order > bound:
-                raise AssertionError("order exceeded group size")
-        return order
+        """Additive order of v in Z^dim / L (full rank only): the index of L
+        in L + Zv."""
+        if not self.is_full_rank:
+            raise RankDeficientError("order_of requires a full-rank lattice")
+        return self.index() // hnf(self.dim, self.basis + (tuple(v),)).index()
 
     def _check_dim(self, other):
         if self.dim != other.dim:

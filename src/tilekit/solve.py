@@ -88,7 +88,7 @@ class _CoverSearch:
             self.providers.append(list(zip(*[self.quotient.translation(vneg(f))
                                              for f in res])))
 
-    def run(self, mode, limit=None):
+    def run(self, mode):
         n, k = self.n, self.k
         status = [_UNKNOWN] * n
         counts = [[0] * n for _ in range(k)]
@@ -154,7 +154,7 @@ class _CoverSearch:
                     residues = self.quotient.residues
                     solutions.append(frozenset(residues[a] for a in range(n)
                                                if status[a] == _IN))
-                    if mode == "first" or (limit is not None and len(solutions) >= limit):
+                    if mode == "first":
                         break
                 else:
                     target = counts[0].index(0)
@@ -181,7 +181,7 @@ class _CoverSearch:
         return solutions
 
 
-def solve_quotient(tiles, lat, mode="all", limit=None):
+def solve_quotient(tiles, lat, mode="all"):
     """All (or the first) L-periodic joint co-tiles of the tuple.
 
     The backtracking branches on the least residue left uncovered by tile 1
@@ -193,7 +193,7 @@ def solve_quotient(tiles, lat, mode="all", limit=None):
     problem = SearchProblem.build(tiles, lat)
     if not problem.feasible:
         return []
-    raw = _CoverSearch(problem).run(mode, limit)
+    raw = _CoverSearch(problem).run(mode)
     sets = [PeriodicSet(lat, members) for members in raw]
     sets.sort(key=lambda a: a.sorted_members)
     return sets

@@ -9,21 +9,25 @@ fiber choice per column), and the rest, whose co-tiles are forced periodic.
 
 Only prime p is supported: the inverse rests on irreducibility of the p-th
 cyclotomic polynomial, which fails for composite moduli.  Composite input
-raises rather than risking a silently wrong answer.  Mixed-group sets are
-stored as one Z-periodic fiber per torsion residue.  Full-fiber tiles also
-admit non-periodic co-tiles (an arbitrary fiber choice per column); those have
-no finite presentation here and only periodic presentations are checkable.
+raises rather than risking a silently wrong answer.  Z x (Z/pZ) is Z^2 / Z(0, p),
+so a mixed set is handled as a set in Z^2 periodic under (0, p): a tile lifts
+to a Tile in Z^2 and a co-tile of period m to a PeriodicSet on the lattice
+diag(m, p), and tiling checks, convolutions and stabilizers are the Z^2 ones.
+Full-fiber tiles also admit non-periodic co-tiles (an arbitrary fiber choice
+per column); those have no finite presentation here and only periodic
+presentations are checkable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyOrFullError, NotACotileError, NotPrimeError
 from .decompose import is_prime
-from .lattice import Lattice, PeriodicSet
-from .tiles import Tile
+from .lattice import Lattice, PeriodicSet, hnf, stabilizer
+from .tiles import Tile, WeightedTile, convolve, indicator
 from . import verify as _verify
 
 
@@ -191,6 +195,10 @@ class MixedTile:
     def fiber(self, n):
         return {t for m, t in self.points if m == n}
 
+    def lifted(self):
+        """The same points as a tile of Z^2."""
+        return Tile(2, self.points)
+
 
 @dataclass(frozen=True)
 class TorsionClass:
@@ -230,12 +238,10 @@ class MixedPeriodicSet:
     def contains(self, n, t):
         return (n % self.period, t % self.p) in self.members
 
-    def fibers(self):
-        """Per torsion residue, the Z-part as a one-dimensional PeriodicSet."""
-        lat = Lattice.diagonal([self.period])
-        return tuple(
-            PeriodicSet(lat, frozenset((n,) for n, t in self.members if t == s))
-            for s in range(self.p))
+    def lifted(self):
+        """The preimage in Z^2, periodic under diag(period, p); the members are
+        already its canonical residues."""
+        return PeriodicSet(Lattice.diagonal([self.period, self.p]), self.members)
 
     def projection(self):
         """Columns meeting the set, as a one-dimensional PeriodicSet."""
@@ -243,40 +249,24 @@ class MixedPeriodicSet:
         return PeriodicSet(lat, frozenset((n,) for n, _ in self.members))
 
     def stabilizer_generator(self):
-        """Smallest (n, t) with n >= 1 fixing the set under translation."""
-        for n in range(1, self.period + 1):
-            for t in range(self.p):
-                if all(self.contains(a + n, b + t) for a, b in self.members) and \
-                        len(self.members) == len({((a + n) % self.period, (b + t) % self.p)
-                                                  for a, b in self.members}):
-                    return (n, t)
-        raise AssertionError("the presentation period itself must stabilize")
+        """Smallest (n, t) with n >= 1, then 0 <= t < p, fixing the set under
+        translation.
+
+        With coordinates swapped to (t, n), the canonical basis of the Z^2
+        stabilizer is (a, 0), (b, c) with 0 <= b < a: c is the least positive
+        n reached and b the least t >= 0 that goes with it.  (0, p) lies in the
+        stabilizer, so a <= p and b < p.
+        """
+        stab = stabilizer(self.lifted())
+        _, (b, c) = hnf(2, [(t, n) for n, t in stab.basis]).basis
+        return (c, b)
 
 
 def mixed_convolution_is_one(tile, aset):
-    """Whether 1_F * 1_A = 1 on Z x (Z/pZ), checked on one period."""
+    """Whether 1_F * 1_A = 1 on Z x (Z/pZ), checked on the lifts to Z^2."""
     if tile.p != aset.p:
         raise ValueError("mismatched moduli")
-    m, p = aset.period, aset.p
-    for x in range(m):
-        for s in range(p):
-            count = sum(1 for n, t in tile.points if aset.contains(x - n, s - t))
-            if count != 1:
-                return False
-    return True
-
-
-def _mixed_kernel_convolve(kernel, fn, p, period):
-    """Convolution of a finitely supported rational kernel on Z x (Z/pZ) with
-    a function given on one period grid."""
-    out = {}
-    for x in range(period):
-        for s in range(p):
-            acc = Fraction(0)
-            for (n, t), w in kernel.items():
-                acc += w * fn[((x - n) % period, (s - t) % p)]
-            out[(x, s)] = acc
-    return out
+    return _verify.is_tiling(tile.lifted(), aset.lifted()).ok
 
 
 @dataclass(frozen=True)
@@ -312,17 +302,17 @@ def cotile_conclusion(tile, aset):
         return TorsionVerdict("full_fiber", True, (aset.period, 0),
                               cls.base, base_cotile, None)
     gen = aset.stabilizer_generator()
-    p, period = tile.p, aset.period
+    p = tile.p
     n0 = next(n for n in tile.columns if 0 < len(tile.fiber(n)) < p)
     f0 = tile.fiber(n0)
     inverse = ring_inverse(f0, p)
-    ind = {(x, s): Fraction(1 if (x, s) in aset.members else 0)
-           for x in range(period) for s in range(p)}
-    column = {(0, t): Fraction(1) for t in f0}
-    conv = _mixed_kernel_convolve(column, ind, p, period)
-    back = {(0, t): inverse.values[t] for t in range(p)}
-    recovered = _mixed_kernel_convolve(back, conv, p, period)
-    if recovered != ind:
+    # WeightedTile is integer-valued: scale the inverse to integers and
+    # compare with the indicator scaled alike
+    lcm = math.lcm(*(v.denominator for v in inverse.values))
+    ind = indicator(aset.lifted())
+    conv = convolve(WeightedTile.make(2, {(0, t): 1 for t in f0}), ind)
+    back = WeightedTile.make(2, {(0, t): v * lcm for t, v in enumerate(inverse.values)})
+    if convolve(back, conv) != ind.scale(lcm):
         raise AssertionError("ring-inverse round trip failed to recover the "
                              "indicator; this is a bug")
     return TorsionVerdict("generic", True, gen, None, None, True)

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -32,6 +33,22 @@ def test_dependent_pair_witness():
     res = is_independent_tuple(t)
     assert not res
     assert res.witness == ((1, 0), (2, 0))
+
+
+def test_is_independent_tuple_leaves_no_garbage():
+    # the search must not build reference cycles: with the cyclic GC off,
+    # nothing unreachable may be left behind, on either verdict
+    dependent = TileTuple.make([Tile.make(2, [(0, 0), (1, 0)]),
+                                Tile.make(2, [(0, 0), (2, 0)])])
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            assert is_independent_tuple(box_pair())
+            assert not is_independent_tuple(dependent)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_too_many_tiles_is_dependent():

@@ -257,6 +257,42 @@ def test_function_stabilizer_matches_reference_loop(instance):
     assert fn.stabilizer() == _reference_stabilizer(lat, lambda r: labels[r])
 
 
+def _reference_order(lat, v):
+    """Additive order of v modulo lat, by repeated addition."""
+    r = lat.reduce(v)
+    acc, order = r, 1
+    while any(acc):
+        acc = lat.reduce(vadd(acc, r))
+        order += 1
+    return order
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hnf_lattices(24), st.tuples(*[st.integers(-30, 30)] * 3))
+def test_order_of_matches_repeated_addition(lat, v):
+    v = v[:lat.dim]
+    assert lat.order_of(v) == _reference_order(lat, v)
+
+
+@st.composite
+def _rank_deficient_combinations(draw):
+    """A lattice of rank below its dimension, and integer coefficients for
+    its canonical basis."""
+    d = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d), max_size=d - 1))
+    lat = hnf(d, gens)
+    return lat, draw(st.tuples(*[st.integers(-9, 9)] * lat.rank))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rank_deficient_combinations())
+def test_coefficients_of_rank_deficient_combination(instance):
+    lat, coeffs = instance
+    v = tuple(sum(c * col[i] for c, col in zip(coeffs, lat.basis)) for i in range(lat.dim))
+    assert lat.coefficients_of(v) == coeffs
+    assert lat.contains(v)
+
+
 def test_periodic_set_refine_and_same_set():
     a = PeriodicSet.make(Lattice.diagonal([2]), [(0,)])
     fine = a.refine(Lattice.diagonal([6]))

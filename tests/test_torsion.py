@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tilekit.errors import EmptyOrFullError, NotACotileError, NotPrimeError
 from tilekit.torsion import (
@@ -148,3 +149,68 @@ def test_generic_verified_cotiles_have_positive_rank():
             continue
         verdict = cotile_conclusion(tile, aset)
         assert verdict.stabilizer_generator[0] >= 1
+
+
+def _reference_stabilizer_generator(aset):
+    """Least (n, t), n from 1 and then t, that maps the set onto itself, by
+    testing every translation on the period grid."""
+    for n in range(1, aset.period + 1):
+        for t in range(aset.p):
+            if all(aset.contains(a + n, b + t) for a, b in aset.members) and \
+                    len(aset.members) == len({((a + n) % aset.period, (b + t) % aset.p)
+                                              for a, b in aset.members}):
+                return (n, t)
+    raise AssertionError("the presentation period itself must stabilize")
+
+
+def _reference_convolution_is_one(tile, aset):
+    """1_F * 1_A = 1, by counting representations at every grid point."""
+    for x in range(aset.period):
+        for s in range(aset.p):
+            count = sum(1 for n, t in tile.points if aset.contains(x - n, s - t))
+            if count != 1:
+                return False
+    return True
+
+
+@st.composite
+def _mixed_cases(draw):
+    """A mixed tile and a periodic set with p in {2, 3, 5, 7} and period 1 to 8.
+
+    Half the time the set is a subgroup H of the period grid and the tile
+    picks one point of every coset of H, lifted by random multiples of the
+    period, so the pair tiles; otherwise both are drawn at random."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(1, 8))
+    grid = [(x, s) for x in range(m) for s in range(p)]
+    if draw(st.booleans()):
+        g1, g2 = draw(st.sampled_from(grid)), draw(st.sampled_from(grid))
+        group = {((i * g1[0] + j * g2[0]) % m, (i * g1[1] + j * g2[1]) % p)
+                 for i in range(m * p) for j in range(m * p)}
+        cosets = {min(((x + h) % m, (s + h2) % p) for h, h2 in group) for x, s in grid}
+        points = [(x + m * draw(st.integers(-2, 2)), s) for x, s in sorted(cosets)]
+        return MixedTile.make(p, points), MixedPeriodicSet.make(p, m, group)
+    members = draw(st.lists(st.sampled_from(grid), max_size=m * p))
+    points = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, p - 1)),
+                           min_size=1, max_size=5))
+    return MixedTile.make(p, points), MixedPeriodicSet.make(p, m, members)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mixed_cases())
+def test_mixed_checks_match_reference_loops(case):
+    tile, aset = case
+    generator = _reference_stabilizer_generator(aset)
+    assert aset.stabilizer_generator() == generator
+    tiles = _reference_convolution_is_one(tile, aset)
+    assert mixed_convolution_is_one(tile, aset) == tiles
+    if not tiles:
+        with pytest.raises(NotACotileError):
+            cotile_conclusion(tile, aset)
+        return
+    verdict = cotile_conclusion(tile, aset)
+    if verdict.kind == "generic":
+        assert verdict.stabilizer_generator == generator
+        assert verdict.recovered_via_inverse
+    else:
+        assert verdict.stabilizer_generator == (aset.period, 0)
