@@ -8,7 +8,7 @@ companion-tile construction.  Everything runs in exact integer and rational
 arithmetic.
 """
 
-from .errors import TilekitError, InputContractError
+from .errors import TilekitError, InputContractError, InternalError
 from .lattice import (
     INFINITE,
     Lattice,

@@ -116,9 +116,6 @@ class SpanClassification:
     def __len__(self):
         return len(self.classes)
 
-    def as_dict(self):
-        return {space: tuples for space, tuples in self.classes}
-
     def total_tuples(self):
         return sum(len(tuples) for _, tuples in self.classes)
 

@@ -2,9 +2,11 @@
 
 Subcommands: verify, solve, solve-z, independent, star, decompose, dilate,
 brothers, zp, lift, piecewise, stabilizer.  Exit codes: 0 success or verdict
-true, 1 usage or malformed input, 2 input contract violation, 3 search
-exhausted or verdict false.  With --json all machine output is a single JSON
-document on stdout; diagnostics go to stderr.
+true, 1 usage error or a document that cannot be read, cannot be built or has
+the wrong kind, 2 input contract violation, 3 search exhausted or verdict
+false, 4 internal error (a bug in tilekit, reported on one stderr line).  With
+--json all machine output is a single JSON document on stdout; diagnostics go
+to stderr.
 """
 
 from __future__ import annotations
@@ -19,17 +21,19 @@ from . import jsonio, verify
 from .analysis import has_property_star, is_independent_tuple
 from .construct import brother_tiles
 from .decompose import build_decomposition, dilation_check, verify_decomposition
-from .errors import InputContractError, TilekitError
+from .errors import InputContractError
 from .lattice import Lattice, PeriodicSet, stabilizer, vsub
 from .solve import (lift_to_full_period, piecewise_to_periodic, search_periodic_cotile,
                     search_Z_cotile)
-from .tiles import PeriodicRationalFunction, Tile, TileTuple, dilate as dilate_tile, indicator
-from .torsion import MixedPeriodicSet, classify, cotile_conclusion
+from .tiles import (PeriodicRationalFunction, Tile, TileTuple, WeightedTile,
+                    dilate as dilate_tile, indicator)
+from .torsion import MixedPeriodicSet, MixedTile, classify, cotile_conclusion
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONTRACT = 2
 EXIT_FALSE = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,23 +45,25 @@ class _UsageError(Exception):
     pass
 
 
-def _load(path):
+def _load(path, *kinds):
+    """The document at `path`, which must be an instance of one of `kinds`."""
     try:
-        return jsonio.load(path)
+        obj = jsonio.load(path)
     except FileNotFoundError:
         raise _UsageError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise _UsageError(f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}")
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise _UsageError(f"cannot parse {path}: {exc}")
+    if not isinstance(obj, kinds):
+        raise _UsageError(f"{path}: expected {' or '.join(k.__name__ for k in kinds)}, "
+                          f"got {type(obj).__name__}")
+    return obj
 
 
-def _as_tuple(obj):
-    if isinstance(obj, TileTuple):
-        return obj
-    if isinstance(obj, Tile):
-        return TileTuple.make([obj])
-    raise _UsageError("expected a tile or tile tuple document")
+def _load_tuple(path):
+    obj = _load(path, Tile, TileTuple)
+    return obj if isinstance(obj, TileTuple) else TileTuple.make([obj])
 
 
 def _emit(args, doc, text_lines):
@@ -148,23 +154,21 @@ def _maybe_render(args, tile, aset):
 
 
 def _cmd_verify(args):
-    tiles_doc = _load(args.tiles)
-    cot = _load(args.cotile)
     if args.level is not None:
+        g = _load(args.tiles, Tile, TileTuple, WeightedTile)
+        cot = _load(args.cotile, PeriodicSet, PeriodicRationalFunction)
         if isinstance(cot, PeriodicSet):
             cot = indicator(cot)
-        if not isinstance(cot, PeriodicRationalFunction):
-            raise _UsageError("level verification expects a function or periodic set")
-        g = tiles_doc if not isinstance(tiles_doc, TileTuple) else tiles_doc[0]
-        report = verify.is_level_tiling(g, cot, Fraction(args.level))
+        if isinstance(g, TileTuple):
+            g = g[0]
+        report = verify.is_level_tiling(g, cot, args.level)
         doc = {"command": "verify", "level": str(args.level), "ok": report.ok,
                "defects": _defects_json(report)}
         _emit(args, doc, [f"level-{args.level} equation: {'holds' if report.ok else 'fails'}"]
               + [f"  defect at {r}: {v}" for r, v in report.defects])
         return EXIT_OK if report.ok else EXIT_FALSE
-    if not isinstance(cot, PeriodicSet):
-        raise _UsageError("verification expects a periodic set co-tile")
-    tiles = _as_tuple(tiles_doc)
+    tiles = _load_tuple(args.tiles)
+    cot = _load(args.cotile, PeriodicSet)
     report = verify.is_joint_cotile(tiles, cot)
     doc = {"command": "verify", "ok": report.ok, "failing_tile": report.failing_tile,
            "defects": _defects_json(report.report) if report.report is not None else []}
@@ -179,7 +183,7 @@ def _cmd_verify(args):
 
 
 def _cmd_solve(args):
-    tiles = _as_tuple(_load(args.tiles))
+    tiles = _load_tuple(args.tiles)
     if args.max_index is None:
         raise _UsageError("solve requires --max-index (no general period bound exists)")
     found = search_periodic_cotile(tiles, args.max_index,
@@ -199,9 +203,7 @@ def _cmd_solve(args):
 
 
 def _cmd_solve_z(args):
-    tile = _load(args.tile)
-    if not isinstance(tile, Tile):
-        raise _UsageError("expected a tile document")
+    tile = _load(args.tile, Tile)
     result = search_Z_cotile(tile)
     doc = {"command": "solve-z", "tiles": result.tiles,
            "period_bound": result.period_bound,
@@ -218,7 +220,7 @@ def _cmd_solve_z(args):
 
 
 def _cmd_independent(args):
-    tiles = _as_tuple(_load(args.tiles))
+    tiles = _load_tuple(args.tiles)
     res = is_independent_tuple(tiles)
     doc = {"command": "independent", "independent": res.independent,
            "witness": [list(v) for v in res.witness] if res.witness else None}
@@ -228,7 +230,7 @@ def _cmd_independent(args):
 
 
 def _cmd_star(args):
-    tiles = _as_tuple(_load(args.tiles))
+    tiles = _load_tuple(args.tiles)
     res = has_property_star(tiles)
     doc = {"command": "star", "property_star": res.holds,
            "witness": [[list(v) for v in sel] for sel in res.witness] if res.witness else None}
@@ -238,17 +240,14 @@ def _cmd_star(args):
 
 
 def _cmd_decompose(args):
-    tiles = _as_tuple(_load(args.tiles))
-    cot = _load(args.cotile)
+    tiles = _load_tuple(args.tiles)
+    cot = _load(args.cotile, PeriodicSet, PeriodicRationalFunction)
     fn = indicator(cot) if isinstance(cot, PeriodicSet) else cot
-    if not isinstance(fn, PeriodicRationalFunction):
-        raise _UsageError("expected a periodic set or function")
     depth = args.depth if args.depth is not None else len(tiles.tiles)
     if not 1 <= depth <= len(tiles.tiles):
         raise _UsageError(f"depth must be between 1 and {len(tiles.tiles)}")
     prefix = TileTuple.make(list(tiles)[:depth])
-    levels = [Fraction(l) for l in args.level] if args.level else None
-    tree = build_decomposition(prefix, fn, levels=levels)
+    tree = build_decomposition(prefix, fn, levels=args.level)
     report = verify_decomposition(tree)
     nodes_doc = []
     for chain, node in sorted(tree.nodes.items()):
@@ -269,27 +268,24 @@ def _cmd_decompose(args):
 
 
 def _cmd_dilate(args):
-    tile = _load(args.tile)
-    if not isinstance(tile, Tile):
-        raise _UsageError("expected a tile document")
+    tile = _load(args.tile, Tile)
     scaled = dilate_tile(tile, args.r)
     if args.cotile is None:
         _emit(args, {"command": "dilate", "r": args.r,
                      "tile": jsonio.to_document(scaled)},
               [f"dilated tile: {list(scaled.sorted_points)}"])
         return EXIT_OK
-    cot = _load(args.cotile)
+    cot = _load(args.cotile, PeriodicSet, PeriodicRationalFunction)
     fn = indicator(cot) if isinstance(cot, PeriodicSet) else cot
-    level = Fraction(args.level) if args.level is not None else Fraction(1)
-    ok = dilation_check(tile, fn, level, args.r)
-    _emit(args, {"command": "dilate", "r": args.r, "level": str(level), "ok": ok},
-          [f"dilation by {args.r} preserves the level-{level} equation: {ok}"])
+    ok = dilation_check(tile, fn, args.level, args.r)
+    _emit(args, {"command": "dilate", "r": args.r, "level": str(args.level), "ok": ok},
+          [f"dilation by {args.r} preserves the level-{args.level} equation: {ok}"])
     return EXIT_OK if ok else EXIT_FALSE
 
 
 def _cmd_brothers(args):
-    tile = _load(args.tile)
-    cot = _load(args.cotile)
+    tile = _load(args.tile, Tile)
+    cot = _load(args.cotile, PeriodicSet)
     brothers = brother_tiles(tile, cot)
     full = TileTuple.make(list(brothers) + [tile])
     doc = {"command": "brothers",
@@ -306,9 +302,7 @@ def _cmd_brothers(args):
 
 
 def _cmd_zp(args):
-    tile = _load(args.tile)
-    if isinstance(tile, Tile):
-        raise _UsageError("expected a mixed tile document with a p field")
+    tile = _load(args.tile, MixedTile)
     if tile.p != args.p:
         raise _UsageError(f"document has p={tile.p}, flag says p={args.p}")
     cls = classify(tile)
@@ -318,9 +312,7 @@ def _cmd_zp(args):
         doc["base"] = jsonio.to_document(cls.base)
         lines.append(f"  base tile {list(cls.base.sorted_points)}")
     if args.cotile:
-        aset = _load(args.cotile)
-        if not isinstance(aset, MixedPeriodicSet):
-            raise _UsageError("expected a mixed periodic set document")
+        aset = _load(args.cotile, MixedPeriodicSet)
         verdict = cotile_conclusion(tile, aset)
         doc["verdict"] = {"kind": verdict.kind, "periodic": verdict.periodic,
                           "stabilizer_generator": list(verdict.stabilizer_generator)}
@@ -331,11 +323,9 @@ def _cmd_zp(args):
 
 
 def _cmd_lift(args):
-    tiles = _as_tuple(_load(args.tiles))
-    cot = _load(args.cotile)
-    gamma0 = _load(args.gamma0)
-    if not isinstance(gamma0, Lattice):
-        raise _UsageError("expected a lattice document for --gamma0")
+    tiles = _load_tuple(args.tiles)
+    cot = _load(args.cotile, PeriodicSet)
+    gamma0 = _load(args.gamma0, Lattice)
     out = lift_to_full_period(tiles, gamma0, cot)
     _emit(args, {"command": "lift", "cotile": jsonio.to_document(out)},
           [f"fully periodic co-tile: lattice {list(map(list, out.lattice.basis))} "
@@ -344,9 +334,9 @@ def _cmd_lift(args):
 
 
 def _cmd_piecewise(args):
-    tiles = _as_tuple(_load(args.tiles))
-    pieces = [_load(p) for p in args.pieces]
-    declared = [_load(p) for p in args.stabilizers] if args.stabilizers else None
+    tiles = _load_tuple(args.tiles)
+    pieces = [_load(p, PeriodicSet) for p in args.pieces]
+    declared = [_load(p, Lattice) for p in args.stabilizers] if args.stabilizers else None
     out = piecewise_to_periodic(tiles, pieces, declared_stabilizers=declared)
     _emit(args, {"command": "piecewise", "cotile": jsonio.to_document(out)},
           [f"fully periodic co-tile: lattice {list(map(list, out.lattice.basis))} "
@@ -355,13 +345,8 @@ def _cmd_piecewise(args):
 
 
 def _cmd_stabilizer(args):
-    obj = _load(args.cotile)
-    if isinstance(obj, PeriodicSet):
-        stab = stabilizer(obj)
-    elif isinstance(obj, PeriodicRationalFunction):
-        stab = obj.stabilizer()
-    else:
-        raise _UsageError("expected a periodic set or function document")
+    obj = _load(args.cotile, PeriodicSet, PeriodicRationalFunction)
+    stab = stabilizer(obj) if isinstance(obj, PeriodicSet) else obj.stabilizer()
     _emit(args, {"command": "stabilizer", "stabilizer": jsonio.to_document(stab)},
           [f"stabilizer basis {list(map(list, stab.basis))}, index {stab.index()}"])
     return EXIT_OK
@@ -388,7 +373,7 @@ def build_parser():
     p = add("verify", _cmd_verify, help="check tiling or level equations")
     p.add_argument("--tiles", required=True)
     p.add_argument("--cotile", required=True)
-    p.add_argument("--level", default=None)
+    p.add_argument("--level", type=Fraction, default=None)
     p.add_argument("--render", choices=["ascii", "svg"])
     p.add_argument("--window", type=int, default=6)
 
@@ -412,14 +397,14 @@ def build_parser():
     p.add_argument("--tiles", required=True)
     p.add_argument("--cotile", required=True)
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--level", action="append", default=None,
+    p.add_argument("--level", type=Fraction, action="append", default=None,
                    help="per-tile level (repeat once per tile)")
 
     p = add("dilate", _cmd_dilate, help="dilate a tile; optionally check the dilation identity")
     p.add_argument("--tile", required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--cotile", default=None)
-    p.add_argument("--level", default=None)
+    p.add_argument("--level", type=Fraction, default=Fraction(1))
 
     p = add("brothers", _cmd_brothers, help="build companion tiles for a periodic tiling")
     p.add_argument("--tile", required=True)
@@ -460,12 +445,11 @@ def main(argv=None):
     except InputContractError as exc:
         print(f"tilekit: input contract violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    except ValueError as exc:
-        print(f"tilekit: input contract violation: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    except TilekitError as exc:
-        print(f"tilekit: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
+    except Exception as exc:
+        # any other exception is a bug; the Python API keeps the traceback
+        print(f"tilekit: internal error (a bug in tilekit): {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry():

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    InputContractError,
+    InternalError,
     NotATilingError,
     OutOfLatticeError,
     RankDeficientError,
     TrivialTileError,
-    VerificationFailedError,
 )
 from .lattice import enumerate_points, stabilizer, vadd, vneg
 from .tiles import Tile, TileTuple
@@ -59,7 +60,7 @@ def translate_by_lattice(tile, shifts, lat):
             raise OutOfLatticeError(f"shift {g} of point {p} is outside the lattice")
         moved.append(vadd(p, g))
     if len(set(moved)) != len(moved):
-        raise ValueError("shifted points collide; cardinality not preserved")
+        raise InputContractError("shifted points collide; cardinality not preserved")
     return Tile.make(tile.dim, moved)
 
 
@@ -72,11 +73,11 @@ def avoid_subspaces(lat, subspaces):
     d = lat.dim
     for sub in subspaces:
         if sub.dim >= d:
-            raise ValueError("subspaces must have dimension < d")
+            raise InputContractError("subspaces must have dimension < d")
     for p in enumerate_points(lat):
         if not any(sub.contains(p) for sub in subspaces):
             return p
-    raise AssertionError("unreachable: proper subspaces cannot cover a lattice")
+    raise InternalError("unreachable: proper subspaces cannot cover a lattice")
 
 
 def forcing_assignment(vectors, lat, w_list):
@@ -91,7 +92,7 @@ def forcing_assignment(vectors, lat, w_list):
     d = lat.dim
     for w in w_list:
         if w.dim >= d:
-            raise ValueError("w_list must contain proper subspaces")
+            raise InputContractError("w_list must contain proper subspaces")
     assignment = []
     for j, v in enumerate(vectors):
         avoid = []
@@ -109,7 +110,7 @@ def forcing_assignment(vectors, lat, w_list):
             for subset in itertools.combinations(range(len(vectors)), size):
                 got = vw_dimension(vectors, assignment, subset, w)
                 if got != min(target_cap, size):
-                    raise VerificationFailedError(
+                    raise InternalError(
                         f"span dimension {got} != min({target_cap}, {size}) "
                         f"for subset {subset}; this is a bug")
     return tuple(assignment)
@@ -124,7 +125,7 @@ def brother_tiles(tile, aset):
     """
     d = tile.dim
     if d < 2:
-        raise ValueError("companion construction needs dimension at least 2")
+        raise InputContractError("companion construction needs dimension at least 2")
     origin = (0,) * d
     if tile.points == {origin}:
         raise TrivialTileError("the tile {0} admits no companions")
@@ -157,13 +158,13 @@ def brother_tiles(tile, aset):
 
     for b in brothers:
         if not verify.is_tiling(b, aset):
-            raise VerificationFailedError("companion fails to tile with the co-tile; bug")
+            raise InternalError("companion fails to tile with the co-tile; bug")
     full = TileTuple.make(brothers + [tile])
     if not is_independent_tuple(full):
-        raise VerificationFailedError("companion tuple is not independent; bug")
+        raise InternalError("companion tuple is not independent; bug")
     star_tuple = TileTuple.make(brothers[:d - 2] + [tile])
     if not has_property_star(star_tuple):
-        raise VerificationFailedError("companion tuple lacks span uniqueness; bug")
+        raise InternalError("companion tuple lacks span uniqueness; bug")
     return TileTuple.make(brothers)
 
 
@@ -194,5 +195,5 @@ def equiv_condition(tile, max_index):
     brothers = brother_tiles(tile, aset)
     star_tuple = TileTuple.make(list(brothers)[:tile.dim - 2] + [tile])
     if not has_property_star(star_tuple):
-        raise VerificationFailedError("certificate tuple lacks span uniqueness; bug")
+        raise InternalError("certificate tuple lacks span uniqueness; bug")
     return PeriodicityCertificate(tile, aset, brothers, star_tuple)

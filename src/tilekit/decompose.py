@@ -23,13 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    InputContractError,
+    InternalError,
     NonIntegerValuesError,
     NotACotileError,
     PreconditionUnverifiedError,
     PropertyStarRequiredError,
     RankDeficientError,
 )
-from .lattice import hnf, vadd, vscale
+from .lattice import _integer_kernel, hnf, vadd, vscale
 from .tiles import PeriodicRationalFunction, WeightedTile, convolve, dilate
 from . import verify
 from .analysis import has_property_star
@@ -73,7 +75,7 @@ def dilation_check(tile, fn, level, r):
     if fn.is_integer_valued():
         q = compute_q(fn, tile.size)
         if r % q == 1 and not ok:
-            raise AssertionError("dilation identity failed for r = 1 mod q; this is a bug")
+            raise InternalError("dilation identity failed for r = 1 mod q; this is a bug")
     return ok
 
 
@@ -138,7 +140,7 @@ def build_decomposition(tiles, fn, levels=None):
     else:
         levels = tuple(Fraction(l) for l in levels)
         if len(levels) != k:
-            raise ValueError("one level per tile")
+            raise InputContractError("one level per tile")
     if not fn.is_integer_valued():
         raise NonIntegerValuesError("decomposition requires an integer-valued function")
     for i, tile in enumerate(tiles):
@@ -292,49 +294,31 @@ def psi_by_span(tree, classes):
         if lhs != rhs:
             failures.append(prefix)
     if failures:
-        raise AssertionError(f"span grouping identity fails at prefixes {failures}; bug")
+        raise InternalError(f"span grouping identity fails at prefixes {failures}; bug")
 
     for space, fn in psi.items():
         stab = fn.stabilizer()
         inside = _lattice_in_subspace(space)
         if stab.intersect(inside).rank < d - 1:
-            raise AssertionError(f"psi for {space} lacks a rank-{d-1} stabilizer in its hyperplane")
+            raise InternalError(f"psi for {space} lacks a rank-{d-1} stabilizer in its hyperplane")
     return psi
 
 
 def _lattice_in_subspace(space):
-    """The lattice of integer points inside a rational subspace."""
-    from .lattice import _integer_kernel, _rref
-
+    """The lattice of integer points inside a rational subspace: the integer
+    vectors orthogonal to every integer normal of its basis."""
     d = space.dim_ambient
-    # rational normals: nullspace of the subspace basis
-    rows = [list(r) for r in space.basis]
-    normals = []
-    rref_rows, pivots = _rref(rows)
-    free = [c for c in range(d) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * d
-        vec[fc] = Fraction(1)
-        for row, pc in zip(rref_rows, pivots):
-            vec[pc] = -row[fc]
-        normals.append(vec)
-    if not normals:
-        from .lattice import Lattice
-        return Lattice.identity(d)
-    # scale to integers
-    int_normals = []
-    for vec in normals:
-        den = 1
-        for x in vec:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        int_normals.append([int(x * den) for x in vec])
-    m = len(int_normals)
-    ext = []
-    for j in range(d):
-        col = [int_normals[i][j] for i in range(m)] + [1 if t == j else 0 for t in range(d)]
-        ext.append(col)
-    kernel = _integer_kernel(ext, m)
-    return hnf(d, kernel)
+
+    def kernel(rows):
+        """The integer x with r . x = 0 for every row r."""
+        cols = [[r[j] for r in rows] + [int(t == j) for t in range(d)] for j in range(d)]
+        return _integer_kernel(cols, len(rows))
+
+    rows = []
+    for row in space.basis:
+        den = math.lcm(*(x.denominator for x in row))
+        rows.append([int(x * den) for x in row])
+    return hnf(d, kernel(kernel(rows)))
 
 
 def discrete_derivative(fn, v):
@@ -396,6 +380,6 @@ def bounded_poly_is_constant_check(fn, gamma, max_degree=None):
         return PolynomialCheck(False, None, None)
     constant = fn.stabilizer().contains_lattice(gamma)
     if not constant:
-        raise AssertionError("bounded polynomial map not constant on cosets; "
-                             "this contradicts the theory and indicates a bug")
+        raise InternalError("bounded polynomial map not constant on cosets; "
+                            "this contradicts the theory and indicates a bug")
     return PolynomialCheck(True, deg, True)

@@ -1,7 +1,11 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: InputContractError and its subclasses
-become exit code 2, everything else is an ordinary failure.
+Every failure tilekit raises has one of two meanings.  InputContractError
+(a ValueError) and its subclasses say the input breaks a documented
+precondition; the CLI reports them with exit code 2, or 1 when a document
+cannot be built.  InternalError says a result the theory guarantees failed
+its check, which is a bug in tilekit; the CLI reports it, like any other
+unexpected exception, with exit code 4.
 """
 
 
@@ -9,8 +13,12 @@ class TilekitError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InputContractError(TilekitError):
+class InputContractError(TilekitError, ValueError):
     """Input violates a documented precondition."""
+
+
+class InternalError(TilekitError):
+    """A postcondition that the theory guarantees failed; indicates a bug."""
 
 
 class RankDeficientError(InputContractError):
@@ -69,9 +77,5 @@ class PropertyStarRequiredError(InputContractError):
     """Operation requires a tuple with the span-uniqueness property."""
 
 
-class NoCycleError(TilekitError):
+class NoCycleError(InputContractError):
     """The block graph has no cycle; impossible unless the input contract was violated."""
-
-
-class VerificationFailedError(TilekitError):
-    """A postcondition that the theory guarantees failed; indicates a bug."""

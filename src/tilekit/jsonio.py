@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .errors import InputContractError
 from .lattice import Lattice, PeriodicSet, hnf
 from .tiles import PeriodicRationalFunction, Tile, TileTuple, WeightedTile
 from .torsion import MixedPeriodicSet, MixedTile
@@ -87,7 +88,7 @@ def _infer_kind(doc):
         return "periodic_set"
     if "basis" in keys:
         return "lattice"
-    raise ValueError("cannot infer the kind of this document")
+    raise InputContractError("cannot infer the kind of this document")
 
 
 def from_document(doc):
@@ -114,7 +115,7 @@ def from_document(doc):
     if kind == "mixed_periodic_set":
         return MixedPeriodicSet.make(body["p"], body["period"],
                                      [tuple(m) for m in body["members"]])
-    raise ValueError(f"unknown kind {kind!r}")
+    raise InputContractError(f"unknown kind {kind!r}")
 
 
 def dump(obj, path, comment=None):

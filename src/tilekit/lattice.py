@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import RankDeficientError
+from .errors import InputContractError, RankDeficientError
 
 
 class Infinite:
@@ -95,7 +95,7 @@ def hnf(dim, vectors):
     vecs = [tuple(v) for v in vectors]
     for v in vecs:
         if len(v) != dim:
-            raise ValueError(f"vector {v} does not have dimension {dim}")
+            raise InputContractError(f"vector {v} does not have dimension {dim}")
     reduced = _row_hnf([list(reversed(v)) for v in vecs], dim)
     cols = [tuple(reversed(row)) for row in reduced]
     cols.reverse()
@@ -207,7 +207,7 @@ class Lattice:
         if not self.is_full_rank:
             raise RankDeficientError("reduce requires a full-rank lattice")
         if len(v) != self.dim:
-            raise ValueError(f"vector {v} does not have dimension {self.dim}")
+            raise InputContractError(f"vector {v} does not have dimension {self.dim}")
         w = list(v)
         for i in range(self.dim - 1, -1, -1):
             q = w[i] // self.basis[i][i]
@@ -257,12 +257,6 @@ class Lattice:
                               for i in range(self.dim)))
         return hnf(self.dim, gens)
 
-    def __add__(self, other):
-        return self.sum(other)
-
-    def __and__(self, other):
-        return self.intersect(other)
-
     def quotient(self):
         """Z^dim / L with residues in mixed-radix order (full rank only)."""
         if not self.is_full_rank:
@@ -282,7 +276,7 @@ class Lattice:
 
     def _check_dim(self, other):
         if self.dim != other.dim:
-            raise ValueError("lattices live in different dimensions")
+            raise InputContractError("lattices live in different dimensions")
 
     @staticmethod
     def zero(dim):
@@ -297,7 +291,7 @@ class Lattice:
     def diagonal(entries):
         dim = len(entries)
         if any(e <= 0 for e in entries):
-            raise ValueError("diagonal entries must be positive")
+            raise InputContractError("diagonal entries must be positive")
         return Lattice(dim, tuple(tuple(entries[j] if i == j else 0 for i in range(dim))
                                   for j in range(dim)))
 
@@ -368,9 +362,6 @@ class QuotientGroup:
     def add(self, r1, r2):
         return self.lattice.reduce(vadd(r1, r2))
 
-    def neg(self, r):
-        return self.lattice.reduce(vneg(r))
-
 
 def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
@@ -392,7 +383,7 @@ def enumerate_sublattices(dim, n):
     diagonal, the entry at row i of a later column ranging over [0, pivot_i).
     """
     if n < 1:
-        raise ValueError("index must be positive")
+        raise InputContractError("index must be positive")
     out = []
     for pivots in _ordered_factorizations(n, dim):
         slots = [(i, j) for j in range(dim) for i in range(j)]
@@ -458,7 +449,7 @@ class PeriodicSet:
     def refine(self, sub):
         """Re-present on a finer full-rank lattice sub (sub must lie inside lattice)."""
         if not self.lattice.contains_lattice(sub):
-            raise ValueError("refinement lattice is not contained in the current one")
+            raise InputContractError("refinement lattice is not contained in the current one")
         members = frozenset(r for r in sub.quotient() if self.contains(r))
         return PeriodicSet(sub, members)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import (
     InputContractError,
+    InternalError,
     NoCycleError,
     NotACotileError,
     NotAPartitionError,
@@ -51,7 +52,7 @@ class SearchProblem:
     @staticmethod
     def build(tiles, lat):
         if tiles.dim != lat.dim:
-            raise ValueError("tiles and lattice have different dimensions")
+            raise InputContractError("tiles and lattice have different dimensions")
         if not lat.is_full_rank:
             raise RankDeficientError("quotient search needs a full-rank lattice")
         projected = []
@@ -189,7 +190,7 @@ def solve_quotient(tiles, lat, mode="all"):
     is complete.  Infeasible projections return an empty list.
     """
     if mode not in ("all", "first"):
-        raise ValueError("mode must be 'all' or 'first'")
+        raise InputContractError("mode must be 'all' or 'first'")
     problem = SearchProblem.build(tiles, lat)
     if not problem.feasible:
         return []
@@ -271,9 +272,9 @@ def search_periodic_cotile(tiles, max_index, mode="all"):
     the "first" mode stops at the first lattice with a solution.
     """
     if mode not in ("all", "first"):
-        raise ValueError("mode must be 'all' or 'first'")
+        raise InputContractError("mode must be 'all' or 'first'")
     if max_index < 1:
-        raise ValueError("max_index must be positive")
+        raise InputContractError("max_index must be positive")
     d = tiles.dim
     size = tiles[0].size
     results = {}
@@ -325,9 +326,9 @@ def search_Z_cotile(tile):
     co-tile is the first solution of the quotient search at that period.
     """
     if tile.dim != 1:
-        raise ValueError("this search is one-dimensional")
+        raise InputContractError("this search is one-dimensional")
     if not tile.is_normalized:
-        raise ValueError("tile must contain 0; normalize it first")
+        raise InputContractError("tile must contain 0; normalize it first")
     diam = tile.diameter()
     bound = 2 ** (diam + 1)
     size = tile.size
@@ -364,8 +365,8 @@ def search_Z_cotile(tile):
         return ZTilingResult(None, bound, checked)
     found = solve_quotient(TileTuple.make([tile]), Lattice.diagonal([period]), mode="first")
     if not found:
-        raise AssertionError(f"no co-tile of period {period} for a cycle of the "
-                             "placement automaton; this is a bug")
+        raise InternalError(f"no co-tile of period {period} for a cycle of the "
+                            "placement automaton; this is a bug")
     return ZTilingResult(found[0], bound, checked)
 
 
@@ -382,7 +383,7 @@ def independent_cotile_index_bound(tiles, value_width=1):
 
     d = tiles.dim
     if len(tiles.tiles) != d:
-        raise ValueError("the bound applies to d-tuples in Z^d")
+        raise InputContractError("the bound applies to d-tuples in Z^d")
     size = tiles[0].size
     q = primorial(value_width * size)
     meet = None
@@ -481,7 +482,7 @@ def _pick_transversal(gamma0, ambient):
     for p in enumerate_points(ambient):
         if any(p) and not span.contains(p):
             return p
-    raise AssertionError("unreachable: a full-rank lattice leaves any hyperplane")
+    raise InternalError("unreachable: a full-rank lattice leaves any hyperplane")
 
 
 class _Recoder:
@@ -494,7 +495,7 @@ class _Recoder:
         dim = gamma0.dim
         self.full = hnf(dim, list(gamma0.basis) + [v])
         if not self.full.is_full_rank:
-            raise AssertionError("transversal vector does not complete the rank")
+            raise InternalError("transversal vector does not complete the rank")
         self.domain = self.full.quotient().residues
         self.domain_index = {u: i for i, u in enumerate(self.domain)}
         self.mixed_basis = list(gamma0.basis) + [v]
@@ -507,7 +508,7 @@ class _Recoder:
 
         coeffs = _solve_rational(self.mixed_basis, rem)
         if coeffs is None or any(c.denominator != 1 for c in coeffs):
-            raise AssertionError("point does not decompose over gamma0 + Zv")
+            raise InternalError("point does not decompose over gamma0 + Zv")
         return int(coeffs[-1]), u
 
 
@@ -597,7 +598,7 @@ def lift_to_full_period(tiles, gamma0, cotile):
     result = periodic_point_from_constraints(constraints, gamma0, ambient)
     out = verify.is_joint_cotile(tiles, result)
     if not out:
-        raise NoCycleError("decoded cycle fails verification; this is a bug")
+        raise InternalError("decoded cycle fails verification; this is a bug")
     return result
 
 
@@ -672,7 +673,7 @@ def piecewise_to_periodic(tiles, pieces, declared_stabilizers=None):
                     union_members = pi.members | pj.members
                     stab_new = si.intersect(sj)
                     if stab_new.rank < d - 1:
-                        raise AssertionError(
+                        raise InternalError(
                             "merged stabilizer lost rank; cannot happen for "
                             "rank-(d-1) subgroups with an infinite-index sum")
                     groups[i] = (PeriodicSet(common, union_members), stab_new)
@@ -704,19 +705,19 @@ def piecewise_to_periodic(tiles, pieces, declared_stabilizers=None):
         solved = periodic_point_from_constraints(conv_targets, gamma0, lam)
         for tile, conv in conv_targets:
             if convolve(tile, indicator(solved)) != conv:
-                raise NoCycleError("re-solved piece fails its convolution targets; bug")
+                raise InternalError("re-solved piece fails its convolution targets; bug")
         replacements.append(indicator(solved))
 
     total = replacements[0]
     for fn in replacements[1:]:
         total = total + fn
     if any(v not in (0, 1) for v in total.values.values()):
-        raise AssertionError("sum of replacement pieces is not an indicator; "
-                             "contradicts the exact-cover constraint")
+        raise InternalError("sum of replacement pieces is not an indicator; "
+                            "contradicts the exact-cover constraint")
     result = total.support_set().on_stabilizer()
     out = verify.is_joint_cotile(tiles, result)
     if not out:
-        raise AssertionError("assembled co-tile fails verification; this is a bug")
+        raise InternalError("assembled co-tile fails verification; this is a bug")
     return result
 
 
@@ -760,5 +761,5 @@ def common_stabilizer(pieces):
     if all(s.rank == pieces[0].dim for s in stabs):
         return AllDPeriodic(meet)
     if meet.rank < pieces[0].dim - 1:
-        raise AssertionError("stabilizer intersection lost rank; cannot happen")
+        raise InternalError("stabilizer intersection lost rank; cannot happen")
     return meet

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import RankDeficientError
+from .errors import InputContractError, RankDeficientError
 from .lattice import Lattice, PeriodicSet, label_stabilizer, vadd, vneg, vsub, vscale
 
 
@@ -25,10 +25,10 @@ class Tile:
     def make(dim, points):
         pts = frozenset(tuple(p) for p in points)
         if not pts:
-            raise ValueError("a tile must be non-empty")
+            raise InputContractError("a tile must be non-empty")
         for p in pts:
             if len(p) != dim:
-                raise ValueError(f"point {p} does not have dimension {dim}")
+                raise InputContractError(f"point {p} does not have dimension {dim}")
         return Tile(dim, pts)
 
     @property
@@ -76,7 +76,7 @@ def normalize(tile):
 def dilate(tile, r):
     """The tile r*F = {r f : f in F}; cardinality is preserved."""
     if r < 1:
-        raise ValueError("dilation factor must be a positive integer")
+        raise InputContractError("dilation factor must be a positive integer")
     return Tile(tile.dim, frozenset(vscale(r, p) for p in tile.points))
 
 
@@ -93,13 +93,13 @@ class TileTuple:
 
     def __post_init__(self):
         if not self.tiles:
-            raise ValueError("a tile tuple must be non-empty")
+            raise InputContractError("a tile tuple must be non-empty")
         dim = self.tiles[0].dim
         for t in self.tiles:
             if t.dim != dim:
-                raise ValueError("tiles have mixed dimensions")
+                raise InputContractError("tiles have mixed dimensions")
             if not t.is_normalized:
-                raise ValueError(f"tile {t} does not contain the origin")
+                raise InputContractError(f"tile {t} does not contain the origin")
 
     @staticmethod
     def make(tiles):
@@ -131,7 +131,7 @@ class WeightedTile:
         entries = tuple(sorted((tuple(p), int(w)) for p, w in mapping.items() if w))
         for p, _ in entries:
             if len(p) != dim:
-                raise ValueError(f"point {p} does not have dimension {dim}")
+                raise InputContractError(f"point {p} does not have dimension {dim}")
         return WeightedTile(dim, entries)
 
     @staticmethod
@@ -142,16 +142,6 @@ class WeightedTile:
     def delta(dim, v=None):
         v = (0,) * dim if v is None else tuple(v)
         return WeightedTile(dim, ((v, 1),))
-
-    @property
-    def support(self):
-        return tuple(p for p, _ in self.entries)
-
-    def weight(self, p):
-        for q, w in self.entries:
-            if q == p:
-                return w
-        return 0
 
     def __eq__(self, other):
         return isinstance(other, WeightedTile) and (self.dim, self.entries) == (other.dim, other.entries)
@@ -205,7 +195,7 @@ class PeriodicRationalFunction:
 
     def refine(self, sub):
         if not self.lattice.contains_lattice(sub):
-            raise ValueError("refinement lattice is not contained in the current one")
+            raise InputContractError("refinement lattice is not contained in the current one")
         return PeriodicRationalFunction(
             sub, {r: self(r) for r in sub.quotient()})
 
@@ -291,7 +281,7 @@ def convolve(g, f):
     integer function with a periodic rational function; the result keeps f's lattice."""
     g = as_weighted(g)
     if g.dim != f.dim:
-        raise ValueError("dimension mismatch in convolution")
+        raise InputContractError("dimension mismatch in convolution")
     lat = f.lattice
     quotient = lat.quotient()
     residues = quotient.residues

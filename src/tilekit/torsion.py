@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptyOrFullError, NotACotileError, NotPrimeError
+from .errors import (EmptyOrFullError, InputContractError, InternalError, NotACotileError,
+                     NotPrimeError)
 from .decompose import is_prime
 from .lattice import Lattice, PeriodicSet, hnf, stabilizer
 from .tiles import Tile, WeightedTile, convolve, indicator
@@ -112,7 +113,7 @@ class CyclicFunction:
         _require_prime(p)
         vals = tuple(Fraction(v) for v in values)
         if len(vals) != p:
-            raise ValueError(f"expected {p} values")
+            raise InputContractError(f"expected {p} values")
         return CyclicFunction(p, vals)
 
     @staticmethod
@@ -130,7 +131,7 @@ class CyclicFunction:
 
     def convolve(self, other):
         if self.p != other.p:
-            raise ValueError("mismatched moduli")
+            raise InputContractError("mismatched moduli")
         p = self.p
         vals = [Fraction(0)] * p
         for i in range(p):
@@ -157,15 +158,15 @@ def ring_inverse(subset, p):
     modulus = [Fraction(-1)] + [Fraction(0)] * (p - 1) + [Fraction(1)]
     g, s, _ = _poly_xgcd(poly, modulus)
     if len(g) != 1:
-        raise AssertionError("indicator polynomial not coprime to x^p - 1; "
-                             "impossible for prime p and a proper subset")
+        raise InternalError("indicator polynomial not coprime to x^p - 1; "
+                            "impossible for prime p and a proper subset")
     scale = 1 / g[0]
     inv = [Fraction(0)] * p
     for i, coeff in enumerate(s):
         inv[i % p] += coeff * scale
     out = CyclicFunction(p, tuple(inv))
     if out.convolve(CyclicFunction.indicator(p, subset)) != CyclicFunction.delta(p):
-        raise AssertionError("computed inverse fails its defining identity; bug")
+        raise InternalError("computed inverse fails its defining identity; bug")
     return out
 
 
@@ -181,7 +182,7 @@ class MixedTile:
         _require_prime(p)
         pts = frozenset((int(n), int(t) % p) for n, t in points)
         if not pts:
-            raise ValueError("a tile must be non-empty")
+            raise InputContractError("a tile must be non-empty")
         return MixedTile(p, pts)
 
     @property
@@ -231,7 +232,7 @@ class MixedPeriodicSet:
     def make(p, period, members):
         _require_prime(p)
         if period < 1:
-            raise ValueError("period must be positive")
+            raise InputContractError("period must be positive")
         pts = frozenset((int(n) % period, int(t) % p) for n, t in members)
         return MixedPeriodicSet(p, period, pts)
 
@@ -265,7 +266,7 @@ class MixedPeriodicSet:
 def mixed_convolution_is_one(tile, aset):
     """Whether 1_F * 1_A = 1 on Z x (Z/pZ), checked on the lifts to Z^2."""
     if tile.p != aset.p:
-        raise ValueError("mismatched moduli")
+        raise InputContractError("mismatched moduli")
     return _verify.is_tiling(tile.lifted(), aset.lifted()).ok
 
 
@@ -297,8 +298,8 @@ def cotile_conclusion(tile, aset):
         base_cotile = aset.projection()
         rep = _verify.is_tiling(cls.base, base_cotile)
         if not rep:
-            raise AssertionError("full-fiber projection fails to co-tile; "
-                                 "contradicts the mixed verification")
+            raise InternalError("full-fiber projection fails to co-tile; "
+                                "contradicts the mixed verification")
         return TorsionVerdict("full_fiber", True, (aset.period, 0),
                               cls.base, base_cotile, None)
     gen = aset.stabilizer_generator()
@@ -313,6 +314,6 @@ def cotile_conclusion(tile, aset):
     conv = convolve(WeightedTile.make(2, {(0, t): 1 for t in f0}), ind)
     back = WeightedTile.make(2, {(0, t): v * lcm for t, v in enumerate(inverse.values)})
     if convolve(back, conv) != ind.scale(lcm):
-        raise AssertionError("ring-inverse round trip failed to recover the "
-                             "indicator; this is a bug")
+        raise InternalError("ring-inverse round trip failed to recover the "
+                            "indicator; this is a bug")
     return TorsionVerdict("generic", True, gen, None, None, True)

@@ -6,6 +6,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InputContractError
 from .tiles import as_weighted, convolve, indicator
 
 DEFECT_CAP = 32
@@ -28,14 +29,13 @@ def _check_constant(conv, target):
         if v != target:
             if len(defects) < DEFECT_CAP:
                 defects.append((r, v))
-    return TilingReport(not defects and all(v == target for v in conv.values.values()),
-                        tuple(defects))
+    return TilingReport(not defects, tuple(defects))
 
 
 def is_tiling(tile, aset):
     """Whether F + A = Z^d with unique representations: 1_F * 1_A must be 1."""
     if tile.dim != aset.dim:
-        raise ValueError("tile and set have different dimensions")
+        raise InputContractError("tile and set have different dimensions")
     return _check_constant(convolve(tile, indicator(aset)), 1)
 
 
@@ -67,7 +67,7 @@ def is_level_tiling(g, fn, level):
     """Whether g * f is identically `level` on the fundamental domain."""
     g = as_weighted(g)
     if g.dim != fn.dim:
-        raise ValueError("tile and function have different dimensions")
+        raise InputContractError("tile and function have different dimensions")
     return _check_constant(convolve(g, fn), level)
 
 

@@ -1,7 +1,8 @@
 import json
 
-from tilekit import jsonio
+from tilekit import cli, jsonio
 from tilekit.cli import main
+from tilekit.errors import InternalError
 from tilekit.lattice import Lattice, PeriodicSet
 from tilekit.tiles import Tile
 from conftest import FIXTURES
@@ -222,3 +223,72 @@ def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
     assert main(["--seed", "1", "stabilizer", "--cotile", fx("box_pair_z3_cotile.json")]) == 1
+
+
+def _readme_commands():
+    """The argv of every command in the README's command-line block."""
+    text = (FIXTURES.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split("#")[0].split()[1:]
+            for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_swapped_documents_never_escape_main(capsys):
+    """Each fixture argument of each README command, replaced by every other
+    fixture: main returns a documented exit code and never raises."""
+    fixtures = sorted(str(p) for p in FIXTURES.glob("*.json"))
+    runs = 0
+    for cmd in _readme_commands():
+        argv = [fx(a.removeprefix("fixtures/")) if a.startswith("fixtures/") else a
+                for a in cmd]
+        for i, arg in enumerate(argv):
+            if arg not in fixtures:
+                continue
+            for other in fixtures:
+                if other != arg:
+                    swapped = argv[:i] + [other] + argv[i + 1:]
+                    assert main(swapped) in (0, 1, 2, 3), swapped
+                    runs += 1
+        capsys.readouterr()
+    # the README block has 25 fixture arguments
+    assert runs == 25 * (len(fixtures) - 1)
+
+
+def test_level_that_is_not_a_fraction_is_usage_error(capsys):
+    for argv in (["verify", "--tiles", fx("six_block_tile.json"),
+                  "--cotile", fx("six_block_fn.json")],
+                 ["decompose", "--tiles", fx("box_pair_z3_tiles.json"),
+                  "--cotile", fx("box_pair_z3_cotile.json")],
+                 ["dilate", "--tile", fx("box_flat_z3_tile.json"), "-r", "7",
+                  "--cotile", fx("box_pair_z3_cotile.json")]):
+        code, _, err = run(capsys, *argv, "--level", "abc")
+        assert code == 1 and "invalid Fraction value: 'abc'" in err
+
+
+def test_document_that_cannot_be_read_or_built_is_usage_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({"kind": "periodic_set", "members": [[0, 0]],
+                                "lattice": {"kind": "lattice", "dim": 2, "basis": [[1, 0]]}}))
+    for path in (deep, flat):
+        code, _, err = run(capsys, "stabilizer", "--cotile", str(path))
+        assert code == 1 and err.startswith(f"tilekit: cannot parse {path}: ")
+
+
+def test_wrong_document_kind_is_usage_error(capsys):
+    code, _, err = run(capsys, "brothers", "--tile", fx("domino_z2_tile.json"),
+                       "--cotile", fx("six_block_fn.json"))
+    assert code == 1
+    assert err == (f"tilekit: {fx('six_block_fn.json')}: expected PeriodicSet, "
+                   "got PeriodicRationalFunction\n")
+
+
+def test_internal_error_is_one_line_exit_4(capsys, monkeypatch):
+    def broken(aset):
+        raise InternalError("planted failure")
+
+    monkeypatch.setattr(cli, "stabilizer", broken)
+    code, out, err = run(capsys, "stabilizer", "--cotile", fx("box_pair_z3_cotile.json"))
+    assert code == 4 and out == ""
+    assert err == "tilekit: internal error (a bug in tilekit): InternalError: planted failure\n"

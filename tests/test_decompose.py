@@ -1,10 +1,13 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tilekit.analysis import span_classes
+from tilekit.analysis import RationalSubspace, span_classes
 from tilekit.decompose import (
+    _lattice_in_subspace,
     bounded_poly_is_constant_check,
     build_decomposition,
     compute_q,
@@ -23,7 +26,7 @@ from tilekit.errors import (
     PreconditionUnverifiedError,
     PropertyStarRequiredError,
 )
-from tilekit.lattice import Lattice, PeriodicSet, vscale
+from tilekit.lattice import Lattice, PeriodicSet, _integer_kernel, _rref, hnf, vscale
 from tilekit.tiles import PeriodicRationalFunction, Tile, TileTuple, indicator
 from conftest import box_cotile, box_pair, six_block, six_block_fn
 
@@ -305,3 +308,42 @@ def test_bounded_poly_is_constant_instances():
     assert chk.is_polynomial and chk.degree == 0 and chk.constant_on_cosets
     chk2 = bounded_poly_is_constant_check(f, Lattice.identity(1), max_degree=5)
     assert not chk2.is_polynomial
+
+
+def _reference_lattice_in_subspace(space):
+    """Integer points of a rational subspace through its rational nullspace:
+    scale each normal to integers, then take the integer kernel of the normals."""
+    d = space.dim_ambient
+    rref_rows, pivots = _rref([list(r) for r in space.basis])
+    normals = []
+    for fc in [c for c in range(d) if c not in pivots]:
+        vec = [Fraction(0)] * d
+        vec[fc] = Fraction(1)
+        for row, pc in zip(rref_rows, pivots):
+            vec[pc] = -row[fc]
+        normals.append(vec)
+    if not normals:
+        return Lattice.identity(d)
+    int_normals = []
+    for vec in normals:
+        den = 1
+        for x in vec:
+            den = den * x.denominator // math.gcd(den, x.denominator)
+        int_normals.append([int(x * den) for x in vec])
+    m = len(int_normals)
+    ext = [[int_normals[i][j] for i in range(m)] + [1 if t == j else 0 for t in range(d)]
+           for j in range(d)]
+    return hnf(d, _integer_kernel(ext, m))
+
+
+@st.composite
+def _rational_subspaces(draw):
+    d = draw(st.integers(1, 4))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d), max_size=d))
+    return RationalSubspace.from_vectors(d, vectors)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_rational_subspaces())
+def test_lattice_in_subspace_matches_rational_nullspace(space):
+    assert _lattice_in_subspace(space) == _reference_lattice_in_subspace(space)
