@@ -159,13 +159,20 @@ def _cmd_verify(args):
         cot = _load(args.cotile, PeriodicSet, PeriodicRationalFunction)
         if isinstance(cot, PeriodicSet):
             cot = indicator(cot)
+        failing = None
+        for i, tile in enumerate(g if isinstance(g, TileTuple) else (g,)):
+            report = verify.is_level_tiling(tile, cot, args.level)
+            if not report:
+                failing = i
+                break
+        doc = {"command": "verify", "level": str(args.level), "ok": report.ok}
+        lines = [f"level-{args.level} equation: {'holds' if report.ok else 'fails'}"]
         if isinstance(g, TileTuple):
-            g = g[0]
-        report = verify.is_level_tiling(g, cot, args.level)
-        doc = {"command": "verify", "level": str(args.level), "ok": report.ok,
-               "defects": _defects_json(report)}
-        _emit(args, doc, [f"level-{args.level} equation: {'holds' if report.ok else 'fails'}"]
-              + [f"  defect at {r}: {v}" for r, v in report.defects])
+            doc["failing_tile"] = failing
+            if not report.ok:
+                lines.append(f"  first failing tile: {failing}")
+        doc["defects"] = _defects_json(report)
+        _emit(args, doc, lines + [f"  defect at {r}: {v}" for r, v in report.defects])
         return EXIT_OK if report.ok else EXIT_FALSE
     tiles = _load_tuple(args.tiles)
     cot = _load(args.cotile, PeriodicSet)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 from .errors import InputContractError, RankDeficientError
@@ -258,10 +258,16 @@ class Lattice:
         return hnf(self.dim, gens)
 
     def quotient(self):
-        """Z^dim / L with residues in mixed-radix order (full rank only)."""
+        """Z^dim / L with residues in mixed-radix order (full rank only).
+
+        Equal lattices share one QuotientGroup, and with it its residues,
+        index_of and translation tables: the QUOTIENT_CACHE most recently used
+        quotients are kept in a module-level cache, not on the lattice, so a
+        lattice that outlives its computation does not pin them.
+        """
         if not self.is_full_rank:
             raise RankDeficientError("quotient requires a full-rank lattice")
-        return QuotientGroup(self)
+        return _shared_quotient(self)
 
     def scale(self, r):
         """The sublattice r * L."""
@@ -299,18 +305,34 @@ class Lattice:
         return f"Lattice(dim={self.dim}, basis={list(map(list, self.basis))})"
 
 
+QUOTIENT_CACHE = 32      # quotients kept by Lattice.quotient
+TABLE_CELLS = 1 << 16    # residue numbers kept in one quotient's translation tables
+
+
+@lru_cache(maxsize=QUOTIENT_CACHE)
+def _shared_quotient(lattice):
+    return QuotientGroup(lattice)
+
+
 class QuotientGroup:
     """Z^d / L for a full-rank L, with residues numbered 0..index-1.
 
     Residue number a has digits a_i in [0, pivot_i) with the first coordinate
     varying fastest: a = a_0 + p_0 * (a_1 + p_1 * (a_2 + ...)).  This class is
     the only code that knows that order; residues and index_of are built on
-    first use.
+    first use.  Translation tables are kept once built, as tuples, up to
+    TABLE_CELLS residue numbers in all; beyond that the oldest tables are
+    dropped first, so a large quotient or many distinct shifts cannot grow
+    memory without limit.  Obtain instances through Lattice.quotient(), which
+    shares one per lattice; nothing here refers back to the instance, so it
+    forms no reference cycle.
     """
 
     def __init__(self, lattice):
         self.lattice = lattice
         self.pivots = lattice.pivots
+        self.tables = {}      # shift -> translation table, oldest first
+        self.table_cells = 0
 
     @cached_property
     def residues(self):
@@ -326,13 +348,28 @@ class QuotientGroup:
     def translation(self, v):
         """Translation by the integer vector v as a permutation of residue numbers.
 
-        Entry a is the number of lattice.reduce(residues[a] + v).  The table is
+        Entry a is the number of lattice.reduce(residues[a] + v); the tuple
+        is kept and shared by later calls with the same v.  The table is
         built from the top coordinate down: a carry out of digit k subtracts
         basis column k from the lower digits, exactly as Lattice.reduce does,
         so each run of residues with equal top digit is a lower-dimensional
         table for one of two vectors.
         """
-        return self._table(len(self.pivots), list(v))
+        key = tuple(v)
+        table = self.tables.get(key)
+        if table is None:
+            table = tuple(self._table(len(self.pivots), list(key)))
+            self._keep(key, table)
+        return table
+
+    def _keep(self, key, table):
+        if len(table) > TABLE_CELLS:
+            return
+        tables = self.tables
+        while self.table_cells + len(table) > TABLE_CELLS:
+            self.table_cells -= len(tables.pop(next(iter(tables))))
+        tables[key] = table
+        self.table_cells += len(table)
 
     def _table(self, k, g):
         """Translation table of the first k coordinates by the vector g."""

@@ -576,6 +576,12 @@ def periodic_point_from_constraints(constraints, gamma0, ambient, assume_nonempt
     return PeriodicSet(out_lattice, frozenset(members))
 
 
+def _failure(rep):
+    """The failing tile and its defects of a JointReport, values as p/q strings."""
+    defects = ", ".join(f"({r}, {v})" for r, v in rep.report.defects)
+    return f"tile {rep.failing_tile} fails: {defects}"
+
+
 def lift_to_full_period(tiles, gamma0, cotile):
     """From a joint co-tile invariant under a rank-(d-1) subgroup to a fully
     periodic one.
@@ -591,7 +597,7 @@ def lift_to_full_period(tiles, gamma0, cotile):
         raise InputContractError("gamma0 does not stabilize the given co-tile")
     rep = verify.is_joint_cotile(tiles, cotile)
     if not rep:
-        raise NotACotileError(f"tile {rep.failing_tile} fails: {rep.report.defects}")
+        raise NotACotileError(_failure(rep))
     ambient = Lattice.identity(d)
     ones = PeriodicRationalFunction.constant(ambient, 1)
     constraints = [(tile, ones) for tile in tiles]
@@ -637,7 +643,7 @@ def piecewise_to_periodic(tiles, pieces, declared_stabilizers=None):
     union = PeriodicSet(common, frozenset(seen))
     rep = verify.is_joint_cotile(tiles, union)
     if not rep:
-        raise NotACotileError(f"tile {rep.failing_tile} fails: {rep.report.defects}")
+        raise NotACotileError(_failure(rep))
 
     if declared_stabilizers is None:
         stabs = [stabilizer(p) for p in refined]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .errors import InputContractError, RankDeficientError
 from .lattice import Lattice, PeriodicSet, label_stabilizer, vadd, vneg, vsub, vscale
@@ -276,20 +278,41 @@ def indicator(aset):
         aset.lattice, {r: Fraction(1) for r in aset.members})
 
 
+def numerators(values, den=1):
+    """(D, numerators): D is the lcm of den and the denominators of the
+    Fractions `values`, and each value is its numerator over D."""
+    den = lcm(den, *{v.denominator for v in values})
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def convolve_ints(g, quotient, values):
+    """Exact convolution on residue numbers: entry a of the result is
+    sum_y w_y * values[number of residues[a] - y] over the entries (y, w_y) of
+    the weighted tile g, for the integers `values` listed in residue order."""
+    acc = [0] * len(values)
+    for y, w in g.entries:
+        moved = map(values.__getitem__, quotient.translation(vneg(y)))
+        if w != 1:
+            moved = [w * x for x in moved]
+        acc = list(map(add, acc, moved))
+    return acc
+
+
 def convolve(g, f):
     """Exact convolution (g * f)(x) = sum_y g(y) f(x - y) of a finitely supported
-    integer function with a periodic rational function; the result keeps f's lattice."""
+    integer function with a periodic rational function; the result keeps f's lattice.
+
+    f's values are put over one common denominator D and the sums run on
+    integer numerators in residue order; one Fraction is made per distinct
+    sum, so equal values share one object.
+    """
     g = as_weighted(g)
     if g.dim != f.dim:
         raise InputContractError("dimension mismatch in convolution")
     lat = f.lattice
     quotient = lat.quotient()
     residues = quotient.residues
-    values = [f.values[r] for r in residues]
-    acc = None
-    for y, w in g.entries:
-        moved = [values[b] for b in quotient.translation(vneg(y))]
-        if w != 1:
-            moved = [w * x for x in moved]
-        acc = moved if acc is None else [a + x for a, x in zip(acc, moved)]
-    return PeriodicRationalFunction(lat, dict(zip(residues, acc or [Fraction(0)] * len(residues))))
+    den, values = numerators([f.values[r] for r in residues])
+    sums = convolve_ints(g, quotient, values)
+    made = {s: Fraction(s, den) for s in set(sums)}
+    return PeriodicRationalFunction(lat, dict(zip(residues, map(made.__getitem__, sums))))

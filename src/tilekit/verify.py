@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputContractError
-from .tiles import as_weighted, convolve, indicator
+from .tiles import as_weighted, convolve_ints, numerators
 
 DEFECT_CAP = 32
 
@@ -21,22 +21,24 @@ class TilingReport:
         return self.ok
 
 
-def _check_constant(conv, target):
-    target = Fraction(target)
-    defects = []
-    for r in sorted(conv.values):
-        v = conv.values[r]
-        if v != target:
-            if len(defects) < DEFECT_CAP:
-                defects.append((r, v))
-    return TilingReport(not defects, tuple(defects))
+def _report(quotient, sums, target, den):
+    """Compare integer sums in residue order with the integer target; a miss
+    is reported at its residue with the value sum / den."""
+    if sums.count(target) == len(sums):
+        return TilingReport(True, ())
+    residues = quotient.residues
+    missed = sorted((residues[a], s) for a, s in enumerate(sums) if s != target)
+    return TilingReport(False, tuple((r, Fraction(s, den)) for r, s in missed[:DEFECT_CAP]))
 
 
 def is_tiling(tile, aset):
     """Whether F + A = Z^d with unique representations: 1_F * 1_A must be 1."""
     if tile.dim != aset.dim:
         raise InputContractError("tile and set have different dimensions")
-    return _check_constant(convolve(tile, indicator(aset)), 1)
+    quotient = aset.lattice.quotient()
+    members = aset.members
+    member = [int(r in members) for r in quotient.residues]
+    return _report(quotient, convolve_ints(as_weighted(tile), quotient, member), 1, 1)
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,11 @@ def is_level_tiling(g, fn, level):
     g = as_weighted(g)
     if g.dim != fn.dim:
         raise InputContractError("tile and function have different dimensions")
-    return _check_constant(convolve(g, fn), level)
+    level = Fraction(level)
+    quotient = fn.lattice.quotient()
+    den, values = numerators([fn.values[r] for r in quotient.residues], level.denominator)
+    sums = convolve_ints(g, quotient, values)
+    return _report(quotient, sums, level.numerator * (den // level.denominator), den)
 
 
 def mean(fn):
@@ -77,5 +83,5 @@ def mean(fn):
     For periodic functions this equals the limit of box averages, so the box
     limit never has to be taken at runtime.
     """
-    total = sum(fn.values.values(), Fraction(0))
-    return total / fn.lattice.index()
+    den, values = numerators(list(fn.values.values()))
+    return Fraction(sum(values), den * fn.lattice.index())

@@ -1,11 +1,13 @@
+import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from tilekit.lattice import Lattice, PeriodicSet, vadd, vscale
-from tilekit.tiles import Tile, TileTuple
+from tilekit.lattice import Lattice, PeriodicSet, vadd, vscale, vsub
+from tilekit.tiles import PeriodicRationalFunction, Tile, TileTuple, WeightedTile
 from tilekit.analysis import is_independent_tuple
 from tilekit import verify
 
@@ -32,8 +34,6 @@ def six_block():
 
 
 def six_block_fn():
-    from tilekit.tiles import PeriodicRationalFunction
-
     lat = Lattice.diagonal([18])
     return PeriodicRationalFunction.from_callable(
         lat, lambda r: (1 if r[0] % 2 == 0 else 0) - (1 if r[0] % 9 in (0, 1, 2) else 0))
@@ -67,9 +67,10 @@ def seeded_independent_tuple(lat, count, seed, tries=500):
 
 
 @st.composite
-def hnf_lattices(draw, max_index):
-    """Canonical full-rank lattices of dimension 1 to 3 and index <= max_index."""
-    d = draw(st.integers(1, 3))
+def hnf_lattices(draw, max_index, dim=None):
+    """Canonical full-rank lattices of dimension `dim` (by default 1 to 3) and
+    index <= max_index."""
+    d = dim or draw(st.integers(1, 3))
     pivots = [1] * d
     for i in range(d):
         rest = max_index
@@ -82,3 +83,93 @@ def hnf_lattices(draw, max_index):
         for i in range(j):
             cols[j][i] = draw(st.integers(0, pivots[i] - 1))
     return Lattice(d, tuple(tuple(c) for c in cols))
+
+
+# ---------------------------------------------------------------------------
+# An oracle for exact convolution that shares no code with tiles.convolve:
+# residues are enumerated from the pivots, every shift goes through
+# Lattice.reduce, and the sums are taken over Fractions.
+# ---------------------------------------------------------------------------
+
+def canonical_residues(lat):
+    """The points with 0 <= x_i < pivot_i, the canonical residues of lat."""
+    return [tuple(x) for x in itertools.product(*[range(p) for p in lat.pivots])]
+
+
+def reference_convolution(lat, entries, value):
+    """{x: sum_y w_y * value(reduce(x - y))} over the canonical residues x."""
+    return {x: sum((w * Fraction(value(lat.reduce(vsub(x, y)))) for y, w in entries),
+                   Fraction(0))
+            for x in canonical_residues(lat)}
+
+
+def reference_report(conv, target):
+    """(ok, defects) of a verification against the constant target."""
+    missed = [(x, v) for x, v in sorted(conv.items()) if v != target]
+    return not missed, tuple(missed[:verify.DEFECT_CAP])
+
+
+DENOMINATORS = (1, 2, 3, 6)
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(DENOMINATORS))
+
+
+@st.composite
+def _oracle_lattices(draw):
+    # doubling reaches index 24 * 2^d, so a verification can miss at more
+    # than DEFECT_CAP residues
+    lat = draw(hnf_lattices(24))
+    return lat.scale(2) if draw(st.booleans()) else lat
+
+
+@st.composite
+def convolution_cases(draw):
+    """(g, f, level): a weighted tile with signed weights (possibly empty), a
+    periodic function with denominators in {1, 2, 3, 6}, constant or not, and
+    as level either (g * f)(0), which holds everywhere when f is constant, or
+    a drawn fraction."""
+    lat = draw(_oracle_lattices())
+    d = lat.dim
+    residues = canonical_residues(lat)
+    if draw(st.booleans()):
+        c = draw(_fractions)
+        values = {r: c for r in residues}
+    else:
+        rng = draw(st.randoms(use_true_random=False))
+        values = {r: Fraction(rng.randint(-6, 6), rng.choice(DENOMINATORS)) for r in residues}
+    f = PeriodicRationalFunction.make(lat, values)
+    point = st.tuples(*[st.integers(-5, 5)] * d)
+    weight = st.sampled_from((-3, -2, -1, 1, 1, 2, 3))
+    size = draw(st.integers(0, 9)) % 6    # 0 to 3 points twice as often as 4 or 5
+    g = WeightedTile.make(d, draw(st.dictionaries(point, weight, min_size=size, max_size=size)))
+    at_zero = sum((w * f.values[lat.reduce(vsub((0,) * d, y))] for y, w in g.entries),
+                  Fraction(0))
+    level = draw(st.one_of(st.just(at_zero), _fractions))
+    return g, f, level
+
+
+@st.composite
+def tiling_cases(draw):
+    """(tile, aset): a complete residue system moved by lattice vectors with
+    the lattice as co-tile, the same with one point removed, or a drawn tile
+    and a drawn set of members."""
+    kind = draw(st.sampled_from(("tiling", "short", "drawn")))
+    # a residue system has index-many points, so only a drawn tile gets the
+    # larger lattices
+    lat = draw(_oracle_lattices() if kind == "drawn" else hnf_lattices(24))
+    d = lat.dim
+    residues = canonical_residues(lat)
+    if kind == "drawn":
+        point = st.tuples(*[st.integers(-5, 5)] * d)
+        tile = Tile.make(d, draw(st.sets(point, min_size=1, max_size=6)))
+        rng = draw(st.randoms(use_true_random=False))
+        members = [r for r in residues if rng.random() < 0.4]
+        return tile, PeriodicSet(lat, frozenset(members))
+    rng = draw(st.randoms(use_true_random=False))
+    points = []
+    for r in residues:
+        for col in lat.basis:
+            r = vadd(r, vscale(rng.randint(-1, 1), col))
+        points.append(r)
+    if kind == "short" and len(points) > 1:
+        points.pop(rng.randrange(len(points)))
+    return Tile.make(d, points), PeriodicSet(lat, frozenset({(0,) * d}))

@@ -4,7 +4,7 @@ from tilekit import cli, jsonio
 from tilekit.cli import main
 from tilekit.errors import InternalError
 from tilekit.lattice import Lattice, PeriodicSet
-from tilekit.tiles import Tile
+from tilekit.tiles import Tile, TileTuple
 from conftest import FIXTURES
 
 
@@ -292,3 +292,43 @@ def test_internal_error_is_one_line_exit_4(capsys, monkeypatch):
     code, out, err = run(capsys, "stabilizer", "--cotile", fx("box_pair_z3_cotile.json"))
     assert code == 4 and out == ""
     assert err == "tilekit: internal error (a bug in tilekit): InternalError: planted failure\n"
+
+
+def test_verify_level_checks_every_tile_of_a_tuple(capsys, tmp_path):
+    tiles, cotile = tmp_path / "tiles.json", tmp_path / "cotile.json"
+    jsonio.dump(TileTuple.make([Tile.make(1, [(0,), (1,)]), Tile.make(1, [(0,), (2,)])]), tiles)
+    jsonio.dump(PeriodicSet.make(Lattice.diagonal([2]), [(0,)]), cotile)
+    argv = ("verify", "--tiles", str(tiles), "--cotile", str(cotile), "--level", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out.splitlines() == ["level-1 equation: fails", "  first failing tile: 1",
+                                "  defect at (0,): 2", "  defect at (1,): 0"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["ok"] is False and doc["failing_tile"] == 1
+    assert doc["defects"] == [{"residue": [0], "value": "2"}, {"residue": [1], "value": "0"}]
+
+
+def test_verify_level_on_a_tuple_that_holds_and_on_one_tile(capsys):
+    code, out, _ = run(capsys, "verify", "--json",
+                       "--tiles", fx("box_pair_z3_tiles.json"),
+                       "--cotile", fx("box_pair_z3_cotile.json"), "--level", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] is True and doc["failing_tile"] is None and doc["defects"] == []
+    # a single tile reports no failing_tile, as before
+    code, out, _ = run(capsys, "verify", "--json",
+                       "--tiles", fx("six_block_tile.json"),
+                       "--cotile", fx("six_block_fn.json"), "--level", "1")
+    assert code == 0 and "failing_tile" not in json.loads(out)
+
+
+def test_not_a_cotile_message_prints_rationals(capsys):
+    code, out, err = run(capsys, "lift",
+                         "--tiles", fx("line_triple_z2_tiles.json"),
+                         "--cotile", fx("domino_z2_cotile.json"),
+                         "--gamma0", fx("vertical_axis_z2.json"))
+    assert code == 2 and out == ""
+    assert err == ("tilekit: input contract violation: "
+                   "tile 0 fails: ((0, 0), 3), ((1, 0), 0)\n")

@@ -1,11 +1,13 @@
 import json
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from tilekit import jsonio
-from tilekit.lattice import Lattice, hnf
-from tilekit.tiles import PeriodicRationalFunction, WeightedTile
+from tilekit.lattice import Lattice, PeriodicSet, hnf
+from tilekit.tiles import PeriodicRationalFunction, Tile, TileTuple, WeightedTile
 from tilekit.torsion import MixedPeriodicSet, MixedTile
-from conftest import box_cotile, box_pair, six_block_fn
+from conftest import box_cotile, box_pair, canonical_residues, hnf_lattices, six_block_fn
 
 
 def _round_trip(obj):
@@ -71,3 +73,36 @@ def test_fixture_corpus_loads(fixtures_dir):
     for path in sorted(fixtures_dir.glob("*.json")):
         obj = jsonio.load(path)
         assert obj is not None, path
+
+
+@st.composite
+def _documents(draw):
+    """One object of every document kind, drawn."""
+    lat = draw(hnf_lattices(24))
+    d = lat.dim
+    point = st.tuples(*[st.integers(-4, 4)] * d)
+    residues = canonical_residues(lat)
+    tile = Tile.make(d, draw(st.sets(point, min_size=1, max_size=5)) | {(0,) * d})
+    fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    mixed_point = st.tuples(st.integers(-4, 4), st.integers(0, p - 1))
+    return [
+        lat,
+        PeriodicSet(lat, frozenset(draw(st.sets(st.sampled_from(residues))))),
+        tile,
+        TileTuple.make([tile, Tile.make(d, [(0,) * d])]),
+        WeightedTile.make(d, draw(st.dictionaries(point, st.integers(-3, 3), max_size=4))),
+        PeriodicRationalFunction.make(lat, {r: draw(fraction) for r in residues}),
+        MixedTile.make(p, draw(st.sets(mixed_point, min_size=1, max_size=5))),
+        MixedPeriodicSet.make(p, draw(st.integers(1, 6)), draw(st.sets(mixed_point, max_size=6))),
+    ]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_documents())
+def test_round_trip_every_kind_drawn(objs):
+    kinds = set()
+    for obj in objs:
+        kinds.add(jsonio.to_document(obj)["kind"])
+        assert _round_trip(obj) == obj
+    assert len(kinds) == len(objs)

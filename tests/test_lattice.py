@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from tilekit.errors import RankDeficientError
 from tilekit.lattice import (
     INFINITE,
+    QUOTIENT_CACHE,
+    TABLE_CELLS,
     Lattice,
     PeriodicSet,
     enumerate_points,
@@ -15,8 +18,9 @@ from tilekit.lattice import (
     stabilizer,
     vadd,
 )
-from tilekit.tiles import PeriodicRationalFunction, indicator
-from conftest import hnf_lattices
+from tilekit.tiles import PeriodicRationalFunction, WeightedTile, convolve, indicator
+from tilekit.verify import is_tiling
+from conftest import box_pair, hnf_lattices, reference_convolution
 
 
 def test_hnf_identity_is_canonical():
@@ -317,3 +321,64 @@ def test_zero_lattice_is_legal():
     assert z.index() is INFINITE
     assert z.contains((0, 0))
     assert not z.contains((1, 0))
+
+
+def test_equal_lattices_share_one_quotient():
+    a = hnf(2, [(4, 0), (1, 3)])
+    b = hnf(2, [(1, 3), (5, 3)])
+    assert a == b and a is not b
+    assert a.quotient() is b.quotient()
+
+
+def test_translation_tables_are_shared_tuples_equal_to_a_fresh_build():
+    rng = random.Random(17)
+    for lat in (Lattice.diagonal([40, 40]), hnf(3, [(2, 0, 0), (1, 3, 0), (1, 2, 4)])):
+        q = lat.quotient()
+        for _ in range(20):
+            v = tuple(rng.randrange(-50, 50) for _ in range(lat.dim))
+            table = q.translation(v)
+            assert type(table) is tuple
+            assert table == tuple(q._table(lat.dim, list(v)))
+            assert q.translation(list(v)) is table
+
+
+def test_translation_cache_stays_within_its_bound():
+    lat = Lattice.diagonal([40, 40])
+    q = lat.quotient()
+    shifts = TABLE_CELLS // len(q) + 2
+    g = WeightedTile.make(2, {(x, 0): 1 for x in range(shifts)})
+    fn = indicator(PeriodicSet.make(lat, [(0, 0)]))
+    assert convolve(g, fn).values == reference_convolution(lat, g.entries, fn.values.__getitem__)
+    assert len(q.tables) <= TABLE_CELLS // len(q) < shifts
+    assert q.table_cells == sum(len(t) for t in q.tables.values()) <= TABLE_CELLS
+
+
+def test_convolution_and_verification_leave_no_garbage():
+    # shared quotients and their tables must not form reference cycles; more
+    # lattices than the quotient cache holds, so that some are dropped
+    box = box_pair()[0]
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(QUOTIENT_CACHE + 10):
+            lat = Lattice.diagonal([2, 2, 10 + n])
+            aset = PeriodicSet.make(lat, [(0, 0, k) for k in range(10 + n)])
+            assert convolve(box, indicator(aset)) == 1
+            assert is_tiling(box, aset)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@st.composite
+def _lattice_pairs(draw):
+    l1 = draw(hnf_lattices(24))
+    return l1, draw(hnf_lattices(24, dim=l1.dim))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_lattice_pairs())
+def test_index_product_identity_on_drawn_lattices(pair):
+    l1, l2 = pair
+    assert (l1.intersect(l2).index() * l1.sum(l2).index()
+            == l1.index() * l2.index())

@@ -325,6 +325,13 @@ def test_piecewise_single_periodic_piece_unchanged():
     assert piecewise_to_periodic(tiles, [aset]).same_set(aset)
 
 
+def test_not_a_cotile_message_prints_rationals():
+    tiles, a1, _ = _domino_setup()
+    with pytest.raises(NotACotileError) as exc:
+        piecewise_to_periodic(tiles, [a1])
+    assert str(exc.value) == "tile 0 fails: ((0, 1), 0), ((1, 1), 0)"
+
+
 def test_piecewise_rejects_non_cotile_and_overlap():
     tiles, a1, a2 = _domino_setup()
     with pytest.raises(NotACotileError):

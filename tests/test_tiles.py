@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from tilekit.lattice import Lattice
 from tilekit.tiles import (
@@ -15,7 +16,8 @@ from tilekit.tiles import (
     indicator,
     normalize,
 )
-from conftest import box_cotile, box_pair, six_block, six_block_fn
+from conftest import (box_cotile, box_pair, convolution_cases, reference_convolution,
+                      six_block, six_block_fn)
 
 
 def test_normalize():
@@ -119,3 +121,13 @@ def test_weighted_tile_signed_combination():
     h = convolve(g, f)
     assert h.lattice == lat
     assert sum(h.values.values()) == 2 * sum(f.values.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(convolution_cases())
+def test_convolve_matches_reference_loop(case):
+    g, f, _ = case
+    out = convolve(g, f)
+    assert out.lattice == f.lattice
+    assert out.values == reference_convolution(f.lattice, g.entries, f.values.__getitem__)
+    assert all(type(v) is Fraction for v in out.values.values())

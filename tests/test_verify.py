@@ -2,10 +2,13 @@ import random
 import warnings
 from fractions import Fraction
 
+from hypothesis import given, settings
+
 from tilekit.lattice import Lattice, PeriodicSet, enumerate_sublattices
 from tilekit.tiles import PeriodicRationalFunction, Tile, TileTuple, indicator
 from tilekit.verify import is_joint_cotile, is_level_tiling, is_tiling, mean
-from conftest import box_cotile, box_pair, six_block, six_block_fn
+from conftest import (box_cotile, box_pair, convolution_cases, reference_convolution,
+                      reference_report, six_block, six_block_fn, tiling_cases)
 
 
 def test_box_pair_tilings():
@@ -90,3 +93,24 @@ def test_refinement_invariance():
     bad = PeriodicSet.make(Lattice.diagonal([4]), [(0,), (1,)])
     finer_bad = bad.refine(Lattice.diagonal([8]))
     assert not is_tiling(Tile.make(1, [(0,), (1,)]), finer_bad)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(convolution_cases())
+def test_level_tiling_matches_reference_loop(case):
+    g, f, level = case
+    rep = is_level_tiling(g, f, level)
+    conv = reference_convolution(f.lattice, g.entries, f.values.__getitem__)
+    assert (rep.ok, rep.defects) == reference_report(conv, level)
+    assert all(type(v) is Fraction for _, v in rep.defects)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tiling_cases())
+def test_is_tiling_matches_reference_loop(case):
+    tile, aset = case
+    rep = is_tiling(tile, aset)
+    conv = reference_convolution(aset.lattice, [(p, 1) for p in tile.points],
+                                 lambda r: int(r in aset.members))
+    assert (rep.ok, rep.defects) == reference_report(conv, 1)
+    assert all(type(v) is Fraction for _, v in rep.defects)
