@@ -2,8 +2,9 @@
 
 Independence of tuples, the span-uniqueness property for (d-1)-tuples,
 classification of point selections by the hyperplane they span, and quotient
-dimensions modulo a subspace.  Subspaces are canonicalized by reduced row
-echelon form so equal spans compare and hash equal.
+dimensions modulo a subspace.  Ranks of integer vectors come from the integer
+Hermite form `lattice._row_hnf`; subspaces are made canonical by a reduced row
+echelon form over Q, so equal spans compare and hash equal.
 """
 
 from __future__ import annotations
@@ -13,12 +14,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotIndependentError, WrongArityError
-from .lattice import _rref
+from .lattice import _row_hnf, vadd
 
 
 def rank_of(vectors):
-    rows, _ = _rref(list(vectors))
-    return len(rows)
+    """Rank over Q of integer vectors."""
+    rows = [list(v) for v in vectors]
+    return len(_row_hnf(rows, len(rows[0]) if rows else 0))
+
+
+def _rref(rows):
+    """Reduced row echelon form over Q, zero rows dropped."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    if not work:
+        return []
+    row = 0
+    for col in range(len(work[0])):
+        pr = next((i for i in range(row, len(work)) if work[i][col]), None)
+        if pr is None:
+            continue
+        work[row], work[pr] = work[pr], work[row]
+        pivot = work[row][col]
+        if pivot != 1:
+            work[row] = [a / pivot for a in work[row]]
+        for i in range(len(work)):
+            f = work[i][col]
+            if f and i != row:
+                work[i] = [a - f * b for a, b in zip(work[i], work[row])]
+        row += 1
+    return work[:row]
 
 
 @dataclass(frozen=True)
@@ -30,8 +54,7 @@ class RationalSubspace:
 
     @staticmethod
     def from_vectors(dim_ambient, vectors):
-        rows, _ = _rref([list(v) for v in vectors])
-        return RationalSubspace(dim_ambient, tuple(tuple(r) for r in rows))
+        return RationalSubspace(dim_ambient, tuple(map(tuple, _rref(vectors))))
 
     @staticmethod
     def zero(dim_ambient):
@@ -88,13 +111,13 @@ def is_independent_tuple(t):
 
 def _dependent_completion(stars, index, rows, chosen):
     """A dependent full selection extending the picks `chosen` from stars[:index],
-    whose rref rows are `rows`; None if every branch stays independent."""
+    whose Hermite form rows are `rows`; None if every branch stays independent."""
     if index == len(stars):
         return None
     if not stars[index]:
         return _dependent_completion(stars, index + 1, rows, chosen)
     for v in stars[index]:
-        new_rows, _ = _rref(rows + [list(v)])
+        new_rows = _row_hnf(rows + [v], len(v))
         if len(new_rows) == len(rows):
             tail = tuple(s[0] for s in stars[index + 1:] if s)
             return chosen + (v,) + tail
@@ -169,10 +192,7 @@ def has_property_star(t):
 def vw_dimension(vectors, assignment, subset, w):
     """Dimension of the projection of span{v_j + g_j : j in subset} into Q^d / W.
 
-    Computed as rank of W's basis stacked with the selected shifted vectors,
+    Computed as the dimension of W joined with the selected shifted vectors,
     minus dim W.  Indices are 0-based.
     """
-    rows = [list(r) for r in w.basis]
-    for j in subset:
-        rows.append([a + b for a, b in zip(vectors[j], assignment[j])])
-    return rank_of(rows) - w.dim
+    return w.join([vadd(vectors[j], assignment[j]) for j in subset]).dim - w.dim

@@ -254,7 +254,7 @@ def verify_decomposition(tree):
                                tuple(invariance), tuple(convolution))
 
 
-def _sum_nodes(fns, lattice=None):
+def _sum_nodes(fns, lattice):
     if not fns:
         return PeriodicRationalFunction.constant(lattice, 0)
     total = fns[0]
@@ -308,17 +308,11 @@ def _lattice_in_subspace(space):
     """The lattice of integer points inside a rational subspace: the integer
     vectors orthogonal to every integer normal of its basis."""
     d = space.dim_ambient
-
-    def kernel(rows):
-        """The integer x with r . x = 0 for every row r."""
-        cols = [[r[j] for r in rows] + [int(t == j) for t in range(d)] for j in range(d)]
-        return _integer_kernel(cols, len(rows))
-
     rows = []
     for row in space.basis:
         den = math.lcm(*(x.denominator for x in row))
         rows.append([int(x * den) for x in row])
-    return hnf(d, kernel(kernel(rows)))
+    return hnf(d, _integer_kernel(_integer_kernel(rows, d), d))
 
 
 def discrete_derivative(fn, v):

@@ -7,6 +7,12 @@ within each pivot row the entries to the right of the pivot are reduced into
 [0, pivot).  Two values generate the same subgroup exactly when their stored
 matrices are equal.  All arithmetic is on Python ints, so pivots and indices
 never overflow.
+
+The integer row Hermite form `_row_hnf` is the only integer elimination.  It
+gives the canonical bases, membership in a lattice of deficient rank (v lies
+in L when adding v leaves the canonical basis unchanged) and the integer
+kernel `_integer_kernel`, the one kernel routine, on which intersections and
+every other kernel question rest.
 """
 
 from __future__ import annotations
@@ -102,69 +108,16 @@ def hnf(dim, vectors):
     return Lattice(dim, tuple(cols))
 
 
-def _integer_kernel(columns, top):
-    """Integer column elimination on the first `top` coordinates.
+def _integer_kernel(rows, width):
+    """Basis of {x in Z^width : r . x = 0 for every row r}.
 
-    Returns the bottom parts of the columns whose top part was eliminated to
-    zero; with unit-extended input columns these span the integer kernel.
+    The rows of the Hermite form of the unit-extended columns [column_j | e_j]
+    whose first len(rows) entries vanish (H. Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4).
     """
-    cols = [list(c) for c in columns]
-    n = len(cols)
-    fixed = 0
-    for row in range(top):
-        live = [j for j in range(fixed, n) if cols[j][row]]
-        if not live:
-            continue
-        j0 = live[0]
-        for j in live[1:]:
-            while cols[j][row]:
-                q = cols[j0][row] // cols[j][row]
-                cols[j0] = [a - q * b for a, b in zip(cols[j0], cols[j])]
-                cols[j0], cols[j] = cols[j], cols[j0]
-        cols[fixed], cols[j0] = cols[j0], cols[fixed]
-        fixed += 1
-    return [tuple(c[top:]) for c in cols[fixed:]]
-
-
-def _rref(rows):
-    """Reduced row echelon form over Q; returns (rows, pivot_columns)."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return [], []
-    width = len(work[0])
-    row = 0
-    pivots = []
-    for col in range(width):
-        pr = next((i for i in range(row, len(work)) if work[i][col]), None)
-        if pr is None:
-            continue
-        work[row], work[pr] = work[pr], work[row]
-        pivot = work[row][col]
-        if pivot != 1:
-            work[row] = [a / pivot for a in work[row]]
-        for i in range(len(work)):
-            f = work[i][col]
-            if f and i != row:
-                work[i] = [a - f * b for a, b in zip(work[i], work[row])]
-        pivots.append(col)
-        row += 1
-    return work[:row], pivots
-
-
-def _solve_rational(columns, target):
-    """Solve sum_j a_j * columns[j] = target over Q.
-
-    Returns the coefficient tuple, or None if the system is inconsistent.
-    Columns are assumed linearly independent (canonical bases always are).
-    """
-    k = len(columns)
-    rows, pivots = _rref([[c[i] for c in columns] + [t] for i, t in enumerate(target)])
-    if k in pivots:
-        return None
-    coeffs = [Fraction(0)] * k
-    for row, col in zip(rows, pivots):
-        coeffs[col] = row[k]
-    return tuple(coeffs)
+    m = len(rows)
+    ext = [[r[j] for r in rows] + [int(t == j) for t in range(width)] for j in range(width)]
+    return [tuple(h[m:]) for h in _row_hnf(ext, m + width) if not any(h[:m])]
 
 
 @dataclass(frozen=True)
@@ -222,40 +175,24 @@ class Lattice:
             return False
         if self.is_full_rank:
             return not any(self.reduce(v))
-        coeffs = _solve_rational(self.basis, tuple(v))
-        return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+        return hnf(self.dim, self.basis + (tuple(v),)) == self
 
     def contains_lattice(self, other):
         return all(self.contains(c) for c in other.basis)
-
-    def coefficients_of(self, v):
-        """Integer coefficients expressing v in this basis, or None."""
-        coeffs = _solve_rational(self.basis, tuple(v))
-        if coeffs is None or any(c.denominator != 1 for c in coeffs):
-            return None
-        return tuple(int(c) for c in coeffs)
 
     def sum(self, other):
         self._check_dim(other)
         return hnf(self.dim, self.basis + other.basis)
 
     def intersect(self, other):
+        """L meet M: the vectors B a with B a = C b, from the integer kernel of
+        [B | -C] for the basis matrices B of L and C of M."""
         self._check_dim(other)
-        if not self.basis or not other.basis:
-            return Lattice(self.dim, ())
-        k1 = len(self.basis)
-        m = k1 + len(other.basis)
-        ext = []
-        for j, c in enumerate(self.basis):
-            ext.append(list(c) + [1 if t == j else 0 for t in range(m)])
-        for j, c in enumerate(other.basis):
-            ext.append([-x for x in c] + [1 if t == k1 + j else 0 for t in range(m)])
-        kernel = _integer_kernel(ext, self.dim)
-        gens = []
-        for vec in kernel:
-            gens.append(tuple(sum(self.basis[j][i] * vec[j] for j in range(k1))
-                              for i in range(self.dim)))
-        return hnf(self.dim, gens)
+        rows = [[b[i] for b in self.basis] + [-c[i] for c in other.basis]
+                for i in range(self.dim)]
+        kernel = _integer_kernel(rows, self.rank + other.rank)
+        return hnf(self.dim, [tuple(sum(a * b[i] for a, b in zip(x, self.basis))
+                                    for i in range(self.dim)) for x in kernel])
 
     def quotient(self):
         """Z^dim / L with residues in mixed-radix order (full rank only).

@@ -25,6 +25,7 @@ from .lattice import (
     INFINITE,
     Lattice,
     PeriodicSet,
+    _integer_kernel,
     enumerate_points,
     enumerate_sublattices,
     hnf,
@@ -370,28 +371,27 @@ def search_Z_cotile(tile):
     return ZTilingResult(found[0], bound, checked)
 
 
-def independent_cotile_index_bound(tiles, value_width=1):
+def independent_cotile_index_bound(tiles):
     """Index bound for joint co-tiles of d independent tiles in Z^d.
 
-    Every joint co-tile (more generally every bounded integer solution with
-    values spanning at most value_width) is periodic under the intersection of
-    the lattices q*span(selection) over all selections, q the primorial of
-    value_width * |F_1|.  The index of that intersection bounds the stabilizer
-    index of every solution.
+    Every joint co-tile is periodic under the intersection of the lattices
+    q*span(selection) over all selections, q the primorial of |F_1|.  The
+    index of that intersection bounds the stabilizer index of every joint
+    co-tile.  A tile {0} has no selections and forces the co-tile Z^d, so the
+    intersection starts at Z^d.
     """
     from .decompose import primorial
 
     d = tiles.dim
     if len(tiles.tiles) != d:
         raise InputContractError("the bound applies to d-tuples in Z^d")
-    size = tiles[0].size
-    q = primorial(value_width * size)
-    meet = None
+    q = primorial(tiles[0].size)
+    meet = Lattice.identity(d)
     for selection in itertools.product(*[t.sorted_star for t in tiles]):
         lat = hnf(d, [vscale(q, v) for v in selection])
         if not lat.is_full_rank:
             raise InputContractError("tuple is not independent")
-        meet = lat if meet is None else meet.intersect(lat)
+        meet = meet.intersect(lat)
     return meet.index()
 
 
@@ -487,32 +487,32 @@ def _pick_transversal(gamma0, ambient):
 
 class _Recoder:
     """Decomposition w = gamma + n*v + u with gamma in gamma0, u in the
-    fundamental domain of gamma0 + Zv."""
+    fundamental domain of gamma0 + Zv.
+
+    n is read through the integer normal of span(gamma0): gamma drops out of
+    <normal, w - u> = n * <normal, v>.
+    """
 
     def __init__(self, gamma0, v):
-        self.gamma0 = gamma0
-        self.v = v
         dim = gamma0.dim
-        self.full = hnf(dim, list(gamma0.basis) + [v])
+        self.full = hnf(dim, gamma0.basis + (tuple(v),))
         if not self.full.is_full_rank:
             raise InternalError("transversal vector does not complete the rank")
         self.domain = self.full.quotient().residues
         self.domain_index = {u: i for i, u in enumerate(self.domain)}
-        self.mixed_basis = list(gamma0.basis) + [v]
+        (self.normal,) = _integer_kernel(gamma0.basis, dim)
+        self.height = sum(a * b for a, b in zip(self.normal, v))
 
     def split(self, w):
         """Return (n, u)."""
         u = self.full.reduce(w)
-        rem = vsub(w, u)
-        from .lattice import _solve_rational
-
-        coeffs = _solve_rational(self.mixed_basis, rem)
-        if coeffs is None or any(c.denominator != 1 for c in coeffs):
+        n, rest = divmod(sum(a * (x - y) for a, x, y in zip(self.normal, w, u)), self.height)
+        if rest:
             raise InternalError("point does not decompose over gamma0 + Zv")
-        return int(coeffs[-1]), u
+        return n, u
 
 
-def periodic_point_from_constraints(constraints, gamma0, ambient, assume_nonempty=True):
+def periodic_point_from_constraints(constraints, gamma0, ambient):
     """Find a {0,1} configuration on Z^d, invariant under gamma0, satisfying
     every convolution constraint, with a full-rank stabilizer.
 

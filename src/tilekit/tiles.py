@@ -196,6 +196,9 @@ class PeriodicRationalFunction:
         return convolve(WeightedTile.delta(self.dim, vneg(v)), self)
 
     def refine(self, sub):
+        """Re-present on a finer full-rank lattice sub; self when sub is its lattice."""
+        if sub == self.lattice:
+            return self
         if not self.lattice.contains_lattice(sub):
             raise InputContractError("refinement lattice is not contained in the current one")
         return PeriodicRationalFunction(
@@ -209,8 +212,8 @@ class PeriodicRationalFunction:
     def __add__(self, other):
         if isinstance(other, PeriodicRationalFunction):
             common = self.common_lattice(other)
-            return PeriodicRationalFunction(
-                common, {r: self(r) + other(r) for r in common.quotient()})
+            a, b = self.refine(common).values, other.refine(common).values
+            return PeriodicRationalFunction(common, {r: a[r] + b[r] for r in common.quotient()})
         return PeriodicRationalFunction(
             self.lattice, {r: v + Fraction(other) for r, v in self.values.items()})
 
@@ -235,10 +238,8 @@ class PeriodicRationalFunction:
         if isinstance(other, PeriodicRationalFunction):
             if self.dim != other.dim:
                 return False
-            if self.lattice == other.lattice:
-                return self.values == other.values
             common = self.common_lattice(other)
-            return all(self(r) == other(r) for r in common.quotient())
+            return self.refine(common).values == other.refine(common).values
         try:
             c = Fraction(other)
         except (TypeError, ValueError):

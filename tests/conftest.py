@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from tilekit.lattice import Lattice, PeriodicSet, vadd, vscale, vsub
+from tilekit.lattice import Lattice, PeriodicSet, hnf, vadd, vscale, vsub
 from tilekit.tiles import PeriodicRationalFunction, Tile, TileTuple, WeightedTile
 from tilekit.analysis import is_independent_tuple
 from tilekit import verify
@@ -173,3 +173,42 @@ def tiling_cases(draw):
     if kind == "short" and len(points) > 1:
         points.pop(rng.randrange(len(points)))
     return Tile.make(d, points), PeriodicSet(lat, frozenset({(0,) * d}))
+
+
+# ---------------------------------------------------------------------------
+# An oracle for sums and equality of periodic functions: every value is looked
+# up through its own lattice's reduce, residue by residue.
+# ---------------------------------------------------------------------------
+
+def reference_values(fn, lat):
+    """fn's values on the canonical residues of lat, a full-rank lattice
+    inside fn.lattice."""
+    assert all(not any(fn.lattice.reduce(col)) for col in lat.basis)
+    return {x: fn.values[fn.lattice.reduce(x)] for x in canonical_residues(lat)}
+
+
+@st.composite
+def function_pairs(draw):
+    """(f, g) of one dimension: on one lattice, on two drawn lattices, or two
+    presentations of one function on lattices made by scaling the columns of
+    its lattice, the second with one value changed half the time."""
+    lat = draw(hnf_lattices(12))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def drawn(on):
+        return PeriodicRationalFunction.make(on, {
+            r: Fraction(rng.randint(-3, 3), rng.choice(DENOMINATORS))
+            for r in canonical_residues(on)})
+
+    kind = draw(st.sampled_from(("same", "drawn", "presented")))
+    if kind == "same":
+        return drawn(lat), drawn(lat)
+    if kind == "drawn":
+        return drawn(lat), drawn(draw(hnf_lattices(12, dim=lat.dim)))
+    h = drawn(lat)
+    subs = [hnf(lat.dim, [vscale(rng.randint(1, 3), c) for c in lat.basis]) for _ in range(2)]
+    f_values, g_values = (reference_values(h, sub) for sub in subs)
+    if draw(st.booleans()):
+        g_values[rng.choice(sorted(g_values))] += draw(st.sampled_from((1, Fraction(-1, 2))))
+    return tuple(PeriodicRationalFunction.make(sub, values)
+                 for sub, values in zip(subs, (f_values, g_values)))

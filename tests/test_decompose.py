@@ -26,7 +26,7 @@ from tilekit.errors import (
     PreconditionUnverifiedError,
     PropertyStarRequiredError,
 )
-from tilekit.lattice import Lattice, PeriodicSet, _integer_kernel, _rref, hnf, vscale
+from tilekit.lattice import Lattice, PeriodicSet, vscale
 from tilekit.tiles import PeriodicRationalFunction, Tile, TileTuple, indicator
 from conftest import box_cotile, box_pair, six_block, six_block_fn
 
@@ -310,40 +310,34 @@ def test_bounded_poly_is_constant_instances():
     assert not chk2.is_polynomial
 
 
-def _reference_lattice_in_subspace(space):
-    """Integer points of a rational subspace through its rational nullspace:
-    scale each normal to integers, then take the integer kernel of the normals."""
-    d = space.dim_ambient
-    rref_rows, pivots = _rref([list(r) for r in space.basis])
-    normals = []
-    for fc in [c for c in range(d) if c not in pivots]:
-        vec = [Fraction(0)] * d
-        vec[fc] = Fraction(1)
-        for row, pc in zip(rref_rows, pivots):
-            vec[pc] = -row[fc]
-        normals.append(vec)
-    if not normals:
-        return Lattice.identity(d)
-    int_normals = []
-    for vec in normals:
-        den = 1
-        for x in vec:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        int_normals.append([int(x * den) for x in vec])
-    m = len(int_normals)
-    ext = [[int_normals[i][j] for i in range(m)] + [1 if t == j else 0 for t in range(d)]
-           for j in range(d)]
-    return hnf(d, _integer_kernel(ext, m))
+def _check_integer_points_of_span(lat, vectors):
+    """Through sympy, with no tilekit elimination: lat has the rank of the
+    span of `vectors`, every basis column lies in that span, and the gcd of
+    the maximal minors of the basis is 1, so no integer point of the span
+    lies outside lat."""
+    sympy = pytest.importorskip("sympy")
+    d = lat.dim
+    rank = sympy.Matrix(len(vectors), d, [x for v in vectors for x in v]).rank() if vectors else 0
+    assert lat.rank == rank
+    for col in lat.basis:
+        stacked = [x for v in vectors for x in v] + list(col)
+        assert sympy.Matrix(len(vectors) + 1, d, stacked).rank() == rank
+    if lat.rank:
+        basis = sympy.Matrix([[c[i] for c in lat.basis] for i in range(d)])
+        minors = [basis.extract(list(rows), list(range(lat.rank))).det()
+                  for rows in itertools.combinations(range(d), lat.rank)]
+        assert math.gcd(*map(int, minors)) == 1
 
 
 @st.composite
-def _rational_subspaces(draw):
+def _spanning_vectors(draw):
     d = draw(st.integers(1, 4))
-    vectors = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d), max_size=d))
-    return RationalSubspace.from_vectors(d, vectors)
+    return d, draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d), max_size=d))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_rational_subspaces())
-def test_lattice_in_subspace_matches_rational_nullspace(space):
-    assert _lattice_in_subspace(space) == _reference_lattice_in_subspace(space)
+@given(_spanning_vectors())
+def test_lattice_in_subspace_matches_rational_nullspace(case):
+    d, vectors = case
+    lat = _lattice_in_subspace(RationalSubspace.from_vectors(d, vectors))
+    _check_integer_points_of_span(lat, vectors)

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 
 import pytest
@@ -280,21 +281,40 @@ def test_order_of_matches_repeated_addition(lat, v):
 
 @st.composite
 def _rank_deficient_combinations(draw):
-    """A lattice of rank below its dimension, and integer coefficients for
-    its canonical basis."""
+    """A lattice of rank below its dimension, integer coefficients for its
+    canonical basis, and integer vectors: drawn ones, and the primitive
+    vector along each drawn combination, whose coordinates need not be
+    integers."""
     d = draw(st.integers(1, 3))
-    gens = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d), max_size=d - 1))
-    lat = hnf(d, gens)
-    return lat, draw(st.tuples(*[st.integers(-9, 9)] * lat.rank))
+    vector = st.tuples(*[st.integers(-6, 6)] * d)
+    lat = hnf(d, draw(st.lists(vector, max_size=d - 1)))
+    coeffs = draw(st.tuples(*[st.integers(-9, 9)] * lat.rank))
+    others = draw(st.lists(vector, max_size=3))
+    for c in draw(st.lists(st.tuples(*[st.integers(-9, 9)] * lat.rank), max_size=3)):
+        v = [sum(a * col[i] for a, col in zip(c, lat.basis)) for i in range(d)]
+        g = math.gcd(*v)
+        if g:
+            others.append(tuple(x // g for x in v))
+    return lat, coeffs, others
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_rank_deficient_combinations())
 def test_coefficients_of_rank_deficient_combination(instance):
-    lat, coeffs = instance
+    sympy = pytest.importorskip("sympy")
+    lat, coeffs, others = instance
     v = tuple(sum(c * col[i] for c, col in zip(coeffs, lat.basis)) for i in range(lat.dim))
-    assert lat.coefficients_of(v) == coeffs
     assert lat.contains(v)
+    # membership through sympy: w lies in the lattice exactly when the least
+    # squares coordinates x reproduce w and are all integers
+    basis = sympy.Matrix(lat.dim, lat.rank, [c[i] for i in range(lat.dim) for c in lat.basis])
+    for w in others:
+        if lat.rank:
+            x = (basis.T * basis).inv() * basis.T * sympy.Matrix(w)
+            member = basis * x == sympy.Matrix(w) and all(c.is_integer for c in x)
+        else:
+            member = not any(w)
+        assert lat.contains(w) == member
 
 
 def test_periodic_set_refine_and_same_set():

@@ -2,11 +2,13 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from tilekit.analysis import is_independent_tuple
 from tilekit.errors import InputContractError, NotACotileError, NotAPartitionError
-from tilekit.lattice import Lattice, PeriodicSet, enumerate_sublattices, hnf, stabilizer
+from tilekit.lattice import Lattice, PeriodicSet, enumerate_sublattices, hnf, stabilizer, vsub
 from tilekit.solve import (
+    _Recoder,
     AllDPeriodic,
     BlockGraph,
     SearchProblem,
@@ -378,3 +380,39 @@ def test_independent_index_bound_is_sufficient_for_unit_pair():
     beyond = search_periodic_cotile(tiles, 2 * bound)
     assert {(l.basis, a.sorted_members) for l, a in found} == \
         {(l.basis, a.sorted_members) for l, a in beyond}
+
+
+def test_independent_index_bound_with_origin_tile():
+    # {0} forces the co-tile Z^2, so the bound is its stabilizer index
+    tiles = TileTuple.make([Tile.make(2, [(0, 0), (1, 0)]), Tile.make(2, [(0, 0)])])
+    assert is_independent_tuple(tiles)
+    assert independent_cotile_index_bound(tiles) == 1
+
+
+@st.composite
+def _recoder_cases(draw):
+    """A rank-(d-1) lattice gamma0 in Z^d, a vector v outside its span, and
+    points to split."""
+    d = draw(st.integers(2, 3))
+    vector = st.tuples(*[st.integers(-4, 4)] * d)
+    gamma0 = hnf(d, draw(st.lists(vector, min_size=d - 1, max_size=d - 1)))
+    v = draw(vector)
+    assume(gamma0.rank == d - 1 and hnf(d, gamma0.basis + (v,)).is_full_rank)
+    return gamma0, v, draw(st.lists(st.tuples(*[st.integers(-20, 20)] * d),
+                                    min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_recoder_cases())
+def test_recoder_split_matches_rational_solve(case):
+    sympy = pytest.importorskip("sympy")
+    gamma0, v, points = case
+    d = gamma0.dim
+    full = hnf(d, gamma0.basis + (v,))
+    rec = _Recoder(gamma0, v)
+    mixed = sympy.Matrix(d, d, [c[i] for i in range(d) for c in gamma0.basis + (v,)])
+    for w in points:
+        n, u = rec.split(w)
+        assert u == full.reduce(w)
+        x = mixed.LUsolve(sympy.Matrix(vsub(w, u)))
+        assert all(c.is_integer for c in x) and x[-1] == n

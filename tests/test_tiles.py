@@ -16,8 +16,8 @@ from tilekit.tiles import (
     indicator,
     normalize,
 )
-from conftest import (box_cotile, box_pair, convolution_cases, reference_convolution,
-                      six_block, six_block_fn)
+from conftest import (box_cotile, box_pair, convolution_cases, function_pairs,
+                      reference_convolution, reference_values, six_block, six_block_fn)
 
 
 def test_normalize():
@@ -131,3 +131,14 @@ def test_convolve_matches_reference_loop(case):
     assert out.lattice == f.lattice
     assert out.values == reference_convolution(f.lattice, g.entries, f.values.__getitem__)
     assert all(type(v) is Fraction for v in out.values.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(function_pairs())
+def test_sum_difference_and_equality_match_reference(pair):
+    f, g = pair
+    for sign, got in ((1, f + g), (-1, f - g)):
+        a, b = reference_values(f, got.lattice), reference_values(g, got.lattice)
+        assert got.values == {x: a[x] + sign * b[x] for x in a}
+    assert (f == g) == (a == b)
+    assert (g == f) == (a == b)
