@@ -17,12 +17,6 @@ from .errors import NotIndependentError, WrongArityError
 from .lattice import _row_hnf, vadd
 
 
-def rank_of(vectors):
-    """Rank over Q of integer vectors."""
-    rows = [list(v) for v in vectors]
-    return len(_row_hnf(rows, len(rows[0]) if rows else 0))
-
-
 def _rref(rows):
     """Reduced row echelon form over Q, zero rows dropped."""
     work = [[Fraction(x) for x in row] for row in rows]

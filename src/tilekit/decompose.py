@@ -8,8 +8,13 @@ builds the family of functions indexed by chains (v_1..v_i) of starred points,
 where q is the primorial of (max f - min f) * S.  Because f is L-periodic the
 inner sequence is periodic in each n_j with period equal to the order of q*v_j
 in Z^d / L, so the limiting average equals a finite average and is computed in
-exact rationals; no compactness or subsequence choice is involved.  The tree's
-four defining identities are then re-checked value by value, never assumed.
+exact rationals; no compactness or subsequence choice is involved.  Each node
+is built from its parent by one such average,
+
+    phi_{c + (v,)}(x) = (1/m) sum_{n=1..m} phi_c(x - (1 + n q) v),
+
+with m the order of q*v.  The tree's four defining identities are then
+re-checked value by value, never assumed.
 
 Also here: the dilation identity checker, span-grouped sums of depth-(d-1)
 nodes, and polynomial-map testing via iterated discrete derivatives.
@@ -31,7 +36,7 @@ from .errors import (
     PropertyStarRequiredError,
     RankDeficientError,
 )
-from .lattice import _integer_kernel, hnf, vadd, vscale
+from .lattice import _integer_kernel, hnf, vscale
 from .tiles import PeriodicRationalFunction, WeightedTile, convolve, dilate
 from . import verify
 from .analysis import has_property_star
@@ -111,19 +116,15 @@ class DecompositionTree:
         return self.nodes[tuple(chain)]
 
 
-def _chain_average(fn, q, chain, orders):
-    """Exact average of f(x - sum (1 + n_j q) v_j) over one full multi-period."""
-    total_count = 1
-    for m in orders:
-        total_count *= m
+def _average_step(lat, q, v):
+    """(w, 1/m) with m the order of q*v modulo lat and w the sum of the deltas
+    at (1 + n q) v, n = 1..m: phi_{c + (v,)} = (1/m) w * phi_c."""
+    m = lat.order_of(vscale(q, v))
     counts = {}
-    for ns in itertools.product(*[range(1, m + 1) for m in orders]):
-        shift = (0,) * fn.dim
-        for n_j, v_j in zip(ns, chain):
-            shift = vadd(shift, vscale(1 + n_j * q, v_j))
-        shift = fn.lattice.reduce(shift)
+    for n in range(1, m + 1):
+        shift = lat.reduce(vscale(1 + n * q, v))
         counts[shift] = counts.get(shift, 0) + 1
-    return convolve(WeightedTile.make(fn.dim, counts), fn).scale(Fraction(1, total_count))
+    return WeightedTile.make(lat.dim, counts), Fraction(1, m)
 
 
 def build_decomposition(tiles, fn, levels=None):
@@ -152,19 +153,13 @@ def build_decomposition(tiles, fn, levels=None):
         s_eff = max(int(l) for l in levels) * max(t.size for t in tiles)
     q = compute_q(fn, s_eff)
 
-    lat = fn.lattice
-    order_cache = {}
-
-    def order_of(v):
-        if v not in order_cache:
-            order_cache[v] = lat.order_of(vscale(q, v))
-        return order_cache[v]
-
+    steps = {v: _average_step(fn.lattice, q, v) for tile in tiles for v in tile.star}
     nodes = {}
-    for length in range(1, k + 1):
-        for chain in itertools.product(*[t.sorted_star for t in tiles.tiles[:length]]):
-            orders = [order_of(v) for v in chain]
-            nodes[chain] = _chain_average(fn, q, chain, orders)
+    level = {(): fn}
+    for tile in tiles:
+        level = {chain + (v,): convolve(steps[v][0], parent).scale(steps[v][1])
+                 for chain, parent in level.items() for v in tile.sorted_star}
+        nodes.update(level)
     return DecompositionTree(tiles, fn, q, levels, nodes)
 
 

@@ -60,36 +60,44 @@ def vscale(c, u):
 
 def _row_hnf(rows, width):
     """Row Hermite form: leading pivots at strictly increasing columns, pivots
-    positive, entries above each pivot reduced into [0, pivot)."""
+    positive, entries above each pivot reduced into [0, pivot).
+
+    Each column is cleared below the pivot by taking the row of least absolute
+    entry as pivot and reducing the others by it until one is left, and the
+    rows above are reduced as soon as the pivot is placed.  Both keep the
+    intermediate entries small: clearing with the first nonzero row and
+    reducing upward only at the end let them grow past 160,000 bits for the
+    ring inverse of a 21-element subset of Z/43Z.
+    """
     work = [list(r) for r in rows if any(r)]
     nrows = len(work)
     r = 0
     for col in range(width):
-        pivot = None
-        for i in range(r, nrows):
-            if work[i][col]:
-                pivot = i
-                break
-        if pivot is None:
+        rest = [i for i in range(r, nrows) if work[i][col]]
+        if not rest:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(r + 1, nrows):
-            while work[i][col]:
-                q = work[r][col] // work[i][col]
-                work[r] = [a - q * b for a, b in zip(work[r], work[i])]
-                work[r], work[i] = work[i], work[r]
-        if work[r][col] < 0:
-            work[r] = [-a for a in work[r]]
-        r += 1
-    work = work[:r]
-    for j in range(r):
-        col = next(c for c, a in enumerate(work[j]) if a)
-        p = work[j][col]
-        for i in range(j):
-            q = work[i][col] // p
+        while rest:
+            pivot = min(rest, key=lambda i: abs(work[i][col]))
+            work[r], work[pivot] = work[pivot], work[r]
+            head, h = work[r], work[r][col]
+            rest = []
+            for i in range(r + 1, nrows):
+                if work[i][col]:
+                    q = work[i][col] // h
+                    work[i] = [a - q * b for a, b in zip(work[i], head)]
+                    if work[i][col]:
+                        rest.append(i)
+            if rest:
+                rest.append(r)
+        if h < 0:
+            h = -h
+            head = work[r] = [-a for a in head]
+        for i in range(r):
+            q = work[i][col] // h
             if q:
-                work[i] = [a - q * b for a, b in zip(work[i], work[j])]
-    return work
+                work[i] = [a - q * b for a, b in zip(work[i], head)]
+        r += 1
+    return work[:r]
 
 
 def hnf(dim, vectors):

@@ -38,6 +38,7 @@ from .lattice import (
 from .tiles import PeriodicRationalFunction, TileTuple, convolve, indicator
 from . import verify
 from .analysis import RationalSubspace
+from .decompose import primorial
 
 
 @dataclass(frozen=True)
@@ -380,8 +381,6 @@ def independent_cotile_index_bound(tiles):
     co-tile.  A tile {0} has no selections and forces the co-tile Z^d, so the
     intersection starts at Z^d.
     """
-    from .decompose import primorial
-
     d = tiles.dim
     if len(tiles.tiles) != d:
         raise InputContractError("the bound applies to d-tuples in Z^d")
@@ -703,7 +702,6 @@ def piecewise_to_periodic(tiles, pieces, declared_stabilizers=None):
                     "the pieces do not satisfy the contract")
             conv_targets.append((tile, conv))
             lam = conv_stab if lam is None else lam.intersect(conv_stab)
-        true_stab = stabilizer(piece)
         if declared.rank == d:
             replacements.append(indicator(piece))
             continue

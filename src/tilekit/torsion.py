@@ -1,18 +1,19 @@
 """Tilings of Z x (Z/pZ) for prime p.
 
-The convolution ring Q^(Z/pZ) is a quotient of Q[x] by x^p - 1; for prime p
-the indicator of any proper non-empty subset is invertible there, computed by
-an extended Euclidean identity over Q[x].  Tiles of the mixed group split into
-two classes: those whose occupied integer columns all carry the full fiber
+In the convolution ring Q^(Z/pZ), for prime p, the indicator of any proper
+non-empty subset is invertible: its inverse solves a circulant linear system
+and is read off that system's integer kernel.  Tiles of the mixed group split
+into two classes: those whose occupied integer columns all carry the full fiber
 (their co-tiles project to co-tiles of a one-dimensional tile, with a free
 fiber choice per column), and the rest, whose co-tiles are forced periodic.
 
 Only prime p is supported: the inverse rests on irreducibility of the p-th
-cyclotomic polynomial, which fails for composite moduli.  Composite input
-raises rather than risking a silently wrong answer.  Z x (Z/pZ) is Z^2 / Z(0, p),
-so a mixed set is handled as a set in Z^2 periodic under (0, p): a tile lifts
-to a Tile in Z^2 and a co-tile of period m to a PeriodicSet on the lattice
-diag(m, p), and tiling checks, convolutions and stabilizers are the Z^2 ones.
+cyclotomic polynomial, which fails for composite moduli, where the circulant of
+a proper subset can be singular.  Composite input raises rather than risking a
+silently wrong answer.  Z x (Z/pZ) is Z^2 / Z(0, p), so a mixed set is handled
+as a set in Z^2 periodic under (0, p): a tile lifts to a Tile in Z^2 and a
+co-tile of period m to a PeriodicSet on the lattice diag(m, p), and tiling
+checks, convolutions and stabilizers are the Z^2 ones.
 Full-fiber tiles also admit non-periodic co-tiles (an arbitrary fiber choice
 per column); those have no finite presentation here and only periodic
 presentations are checkable.
@@ -27,7 +28,7 @@ from fractions import Fraction
 from .errors import (EmptyOrFullError, InputContractError, InternalError, NotACotileError,
                      NotPrimeError)
 from .decompose import is_prime
-from .lattice import Lattice, PeriodicSet, hnf, stabilizer
+from .lattice import Lattice, PeriodicSet, _integer_kernel, hnf, stabilizer
 from .tiles import Tile, WeightedTile, convolve, indicator
 from . import verify as _verify
 
@@ -37,84 +38,12 @@ def _require_prime(p):
         raise NotPrimeError(f"modulus {p} is not prime")
 
 
-# ---------------------------------------------------------------------------
-# polynomials over Q, coefficient lists in ascending degree
-# ---------------------------------------------------------------------------
-
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a, b):
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    _poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a[:]
-    _poly_trim(r)
-    while len(r) >= len(b):
-        factor = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        q[shift] = factor
-        for i, coeff in enumerate(b):
-            r[shift + i] -= factor * coeff
-        _poly_trim(r)
-    return q, r
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _poly_trim(out)
-
-
-def _poly_xgcd(a, b):
-    """(g, s, t) with s*a + t*b = g, over Q[x]."""
-    r0, r1 = [Fraction(x) for x in a], [Fraction(x) for x in b]
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    _poly_trim(r0)
-    _poly_trim(r1)
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    return r0, s0, t0
-
-
 @dataclass(frozen=True)
 class CyclicFunction:
     """A function on Z/pZ with exact rational values."""
 
     p: int
     values: tuple
-
-    @staticmethod
-    def make(p, values):
-        _require_prime(p)
-        vals = tuple(Fraction(v) for v in values)
-        if len(vals) != p:
-            raise InputContractError(f"expected {p} values")
-        return CyclicFunction(p, vals)
 
     @staticmethod
     def delta(p, at=0):
@@ -139,32 +68,26 @@ class CyclicFunction:
                 vals[(i + j) % p] += self.values[i] * other.values[j]
         return CyclicFunction(p, tuple(vals))
 
-    def __mul__(self, other):
-        return self.convolve(other)
-
 
 def ring_inverse(subset, p):
     """g with g * 1_{F0} = delta_0 in the convolution ring on Z/pZ.
 
-    Computed from the Bezout identity of P(x) = sum_{i in F0} x^i against
-    x^p - 1 over Q[x]; exists exactly when F0 is a proper non-empty subset and
-    p is prime.
+    The identity is the p x p circulant system C g = e_0 with
+    C[i][j] = [(i - j) mod p in F0]; the integer kernel of [C | -e_0] is
+    spanned by one vector (t g, t) with t != 0 exactly when C is nonsingular,
+    which holds when F0 is a proper non-empty subset and p is prime.
     """
     _require_prime(p)
     subset = {s % p for s in subset}
     if not subset or len(subset) == p:
         raise EmptyOrFullError("the empty set and the full group are not invertible")
-    poly = [Fraction(1 if i in subset else 0) for i in range(p)]
-    modulus = [Fraction(-1)] + [Fraction(0)] * (p - 1) + [Fraction(1)]
-    g, s, _ = _poly_xgcd(poly, modulus)
-    if len(g) != 1:
-        raise InternalError("indicator polynomial not coprime to x^p - 1; "
+    rows = [[int((i - j) % p in subset) for j in range(p)] + [-int(i == 0)] for i in range(p)]
+    kernel = _integer_kernel(rows, p + 1)
+    if len(kernel) != 1 or kernel[0][p] == 0:
+        raise InternalError("indicator of F0 is not invertible; "
                             "impossible for prime p and a proper subset")
-    scale = 1 / g[0]
-    inv = [Fraction(0)] * p
-    for i, coeff in enumerate(s):
-        inv[i % p] += coeff * scale
-    out = CyclicFunction(p, tuple(inv))
+    x = kernel[0]
+    out = CyclicFunction(p, tuple(Fraction(a, x[p]) for a in x[:p]))
     if out.convolve(CyclicFunction.indicator(p, subset)) != CyclicFunction.delta(p):
         raise InternalError("computed inverse fails its defining identity; bug")
     return out

@@ -11,7 +11,6 @@ ERROR_TYPES = {name for name, obj in vars(errors).items()
 # programming errors that keep their builtin type, and the CLI's own usage error
 OTHER_RAISES = {("tiles.py", "TypeError"),        # as_weighted: wrong argument type
                 ("jsonio.py", "TypeError"),       # to_document: not a domain type
-                ("torsion.py", "ZeroDivisionError"),  # _poly_divmod by zero
                 ("cli.py", "_UsageError")}
 
 

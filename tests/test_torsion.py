@@ -40,6 +40,31 @@ def test_ring_inverse_exhaustive_small_primes():
     assert count == 164
 
 
+def test_ring_inverse_matches_sympy_invert():
+    """The coefficients of sympy's inverse of sum_{i in F0} x^i modulo x^p - 1
+    over QQ, an oracle that shares no code with the integer kernel: every
+    subset for p <= 7, and drawn subsets for primes whose inverses have
+    denominators of about p bits."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+
+    def expected(subset, p):
+        inv = sympy.Poly(sympy.invert(sum(x ** i for i in subset), x ** p - 1,
+                                      domain=sympy.QQ), x)
+        coeffs = inv.all_coeffs()[::-1]
+        coeffs += [0] * (p - len(coeffs))
+        return tuple(Fraction(int(c.p), int(c.q)) for c in map(sympy.Rational, coeffs))
+
+    cases = [(set(subset), p) for p in (2, 3, 5, 7) for size in range(1, p)
+             for subset in itertools.combinations(range(p), size)]
+    assert len(cases) == 164
+    rng = random.Random(61)
+    cases += [(set(rng.sample(range(p), rng.randrange(1, p))), p)
+              for p in (31, 61) for _ in range(3)]
+    for subset, p in cases:
+        assert ring_inverse(subset, p).values == expected(subset, p)
+
+
 def test_ring_inverse_errors():
     with pytest.raises(NotPrimeError):
         ring_inverse({0}, 4)
