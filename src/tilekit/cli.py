@@ -359,6 +359,14 @@ def _cmd_stabilizer(args):
     return EXIT_OK
 
 
+def _level(text):
+    """A --level argument, read by the parser of document values."""
+    return jsonio.parse_rational(text)
+
+
+_level.__name__ = "Fraction"    # argparse names the type: "invalid Fraction value"
+
+
 # parsing keeps no state in the parser, so one parser serves every main() call
 @functools.cache
 def build_parser():
@@ -380,7 +388,7 @@ def build_parser():
     p = add("verify", _cmd_verify, help="check tiling or level equations")
     p.add_argument("--tiles", required=True)
     p.add_argument("--cotile", required=True)
-    p.add_argument("--level", type=Fraction, default=None)
+    p.add_argument("--level", type=_level, default=None)
     p.add_argument("--render", choices=["ascii", "svg"])
     p.add_argument("--window", type=int, default=6)
 
@@ -404,14 +412,14 @@ def build_parser():
     p.add_argument("--tiles", required=True)
     p.add_argument("--cotile", required=True)
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--level", type=Fraction, action="append", default=None,
+    p.add_argument("--level", type=_level, action="append", default=None,
                    help="per-tile level (repeat once per tile)")
 
     p = add("dilate", _cmd_dilate, help="dilate a tile; optionally check the dilation identity")
     p.add_argument("--tile", required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--cotile", default=None)
-    p.add_argument("--level", type=Fraction, default=Fraction(1))
+    p.add_argument("--level", type=_level, default=Fraction(1))
 
     p = add("brothers", _cmd_brothers, help="build companion tiles for a periodic tiling")
     p.add_argument("--tile", required=True)

@@ -3,12 +3,14 @@
 Every document carries a "kind" discriminator so any consumer subcommand can
 re-read what another subcommand emitted.  Rationals travel as "p/q" strings
 (plain integers stay integers).  Non-canonical input (unordered generators,
-unreduced members) is canonicalized on load.
+unreduced members, repeated function values) is canonicalized on load; two
+different values for one residue are an input error.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import InputContractError
@@ -24,11 +26,28 @@ def _enc_rational(x):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _dec_rational(x):
-    if isinstance(x, str):
-        num, _, den = x.partition("/")
-        return Fraction(int(num), int(den or 1))
-    return Fraction(x)
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/([+-]?\d+))?|[+-]?(\d+\.\d*|\.\d+)")
+
+
+def parse_rational(x):
+    """x as an exact Fraction: an int, a finite JSON number, or a string "p",
+    "p/q" or a decimal such as "-0.25".  The one parser for document values
+    and --level arguments; anything else, a zero denominator among them, is
+    an InputContractError."""
+    try:
+        if isinstance(x, str):
+            match = _RATIONAL.fullmatch(x.strip())
+            if match and match[1]:
+                return Fraction(int(match[1]), int(match[2] or 1))
+            if match:
+                return Fraction(x)
+        elif isinstance(x, (int, float)) and not isinstance(x, bool):
+            return Fraction(x)
+    except ZeroDivisionError:
+        raise InputContractError(f"zero denominator in {x!r}")
+    except (ValueError, OverflowError):
+        pass
+    raise InputContractError(f"not a rational number: {x!r}")
 
 
 def to_document(obj, comment=None):
@@ -108,8 +127,12 @@ def from_document(doc):
                                  {tuple(p): w for p, w in body["entries"]})
     if kind == "function":
         lat = from_document(body["lattice"])
-        return PeriodicRationalFunction.make(
-            lat, {lat.reduce(tuple(r)): _dec_rational(v) for r, v in body["values"]})
+        values = {}
+        for r, v in body["values"]:
+            r, v = lat.reduce(tuple(r)), parse_rational(v)
+            if values.setdefault(r, v) != v:
+                raise InputContractError(f"residue {r} has two values, {values[r]} and {v}")
+        return PeriodicRationalFunction.make(lat, values)
     if kind == "mixed_tile":
         return MixedTile.make(body["p"], [tuple(p) for p in body["points"]])
     if kind == "mixed_periodic_set":

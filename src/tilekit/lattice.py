@@ -290,21 +290,25 @@ class QuotientGroup:
     def index_of(self):
         return {r: i for i, r in enumerate(self.residues)}
 
-    def translation(self, v):
+    def translation(self, v, keep=True):
         """Translation by the integer vector v as a permutation of residue numbers.
 
-        Entry a is the number of lattice.reduce(residues[a] + v); the tuple
-        is kept and shared by later calls with the same v.  The table is
-        built from the top coordinate down: a carry out of digit k subtracts
-        basis column k from the lower digits, exactly as Lattice.reduce does,
-        so each run of residues with equal top digit is a lower-dimensional
-        table for one of two vectors.
+        Entry a is the number of lattice.reduce(residues[a] + v).  With keep
+        the table is kept as a tuple and shared by later calls with the same
+        v; without it a table not already kept is built for this call alone
+        and evicts none of the kept ones.  The table is built from the top
+        coordinate down: a carry out of digit k subtracts basis column k from
+        the lower digits, exactly as Lattice.reduce does, so each run of
+        residues with equal top digit is a lower-dimensional table for one of
+        two vectors.
         """
         key = tuple(v)
         table = self.tables.get(key)
         if table is None:
-            table = tuple(self._table(len(self.pivots), list(key)))
-            self._keep(key, table)
+            table = self._table(len(self.pivots), list(key))
+            if keep:
+                table = tuple(table)
+                self._keep(key, table)
         return table
 
     def _keep(self, key, table):
@@ -455,32 +459,54 @@ class PeriodicSet:
 def stabilizer(aset):
     """Full stabilizer {v : A + v = A} of a periodic set, as a canonical Lattice."""
     members = aset.members
-    return label_stabilizer(aset.lattice, {r: r in members for r in aset.lattice.quotient()})
+    return label_stabilizer(aset.lattice, [r in members for r in aset.lattice.quotient()])
 
 
 def label_stabilizer(lat, labels):
     """Full stabilizer {v : label(x + v) = label(x) for all x} of a labelling.
 
-    labels maps every canonical residue of the full-rank lattice lat to a
-    hashable label.  A stabilizing v moves the least frequent label class C
-    onto itself, so v = x - x0 for some x in C and a fixed x0 in C; only those
-    shifts are tried, and a shift already in the lattice found so far needs no
-    test.  A shift stabilizes when it keeps the label of every residue outside
-    the largest class: translation is a bijection, so the largest class is
-    then kept too.
+    labels lists a hashable label for every residue of the full-rank lattice
+    lat, in the residue order of lat.quotient().  A stabilizing v moves the
+    least frequent label class C onto itself, so v = x - x0 for some x in C
+    and a fixed x0 in C; only those shifts are tried, and a shift already in
+    the lattice found so far needs no test.  A shift stabilizes when it keeps
+    the label of every residue outside the largest class: translation is a
+    bijection, so the largest class is then kept too.  Each test reads labels
+    through a translation table that is not kept, so probing cannot evict the
+    tables that convolution and the cover search reuse.  The coset x0 + found
+    is kept as residue numbers, the orbit of x0 under the tables of the shifts
+    found, so a candidate already in found costs one set lookup.
     """
+    quotient = lat.quotient()
+    residues = quotient.residues
     classes = {}
-    for r, label in labels.items():
-        classes.setdefault(label, []).append(r)
+    for a, label in enumerate(labels):
+        classes.setdefault(label, []).append(a)
     by_size = sorted(classes.values(), key=len)
     rare = by_size[0]
-    tested = [r for cls in by_size[:-1] for r in cls]
-    x0 = rare[0]
+    tested = [a for cls in by_size[:-1] for a in cls]
+    expected = [labels[a] for a in tested]
+    x0 = residues[rare[0]]
     found = lat
-    for x in rare:
-        v = vsub(x, x0)
-        if found.contains(v):
+    coset = {rare[0]}   # numbers of the residues x with x - x0 in found
+    moves = []          # translation tables of the shifts added to found
+    for a in rare:
+        if a in coset:
             continue
-        if all(labels[lat.reduce(vadd(r, v))] == labels[r] for r in tested):
-            found = hnf(lat.dim, found.basis + (v,))
+        v = vsub(residues[a], x0)
+        table = quotient.translation(v, keep=False)
+        if [labels[table[b]] for b in tested] != expected:
+            continue
+        found = hnf(lat.dim, found.basis + (v,))
+        moves.append(table)
+        frontier = list(coset)
+        while frontier:
+            step = []
+            for move in moves:
+                for b in frontier:
+                    c = move[b]
+                    if c not in coset:
+                        coset.add(c)
+                        step.append(c)
+            frontier = step
     return found

@@ -715,7 +715,7 @@ def piecewise_to_periodic(tiles, pieces, declared_stabilizers=None):
     total = replacements[0]
     for fn in replacements[1:]:
         total = total + fn
-    if any(v not in (0, 1) for v in total.values.values()):
+    if total.den != 1 or not set(total.nums) <= {0, 1}:
         raise InternalError("sum of replacement pieces is not an indicator; "
                             "contradicts the exact-cover constraint")
     result = total.support_set().on_stabilizer()

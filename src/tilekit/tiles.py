@@ -3,14 +3,20 @@
 Weighted tiles carry integer weights so that indicators, single deltas and
 signed combinations all go through one convolution code path.  Convolution is
 defined against L-periodic rational functions only and is computed exactly.
+A periodic function is kept as integer numerators over one denominator, in
+the residue order of its lattice's quotient, so convolution, sums, shifts,
+refinement and comparison run on ints; a Fraction is made only where a value
+is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from operator import add
+from types import MappingProxyType
 
 from .errors import InputContractError, RankDeficientError
 from .lattice import Lattice, PeriodicSet, label_stabilizer, vadd, vneg, vsub, vscale
@@ -162,38 +168,66 @@ def as_weighted(g):
 
 @dataclass(frozen=True, eq=False)
 class PeriodicRationalFunction:
-    """An L-periodic function Z^d -> Q, stored by its values on a fundamental domain."""
+    """An L-periodic function Z^d -> Q as integer numerators over one denominator.
+
+    nums lists the numerators in the residue order of lattice.quotient(), den
+    is positive and gcd(den, *nums) is 1, so the form is canonical: on one
+    lattice two functions are equal exactly when (den, nums) are.  Sums,
+    shifts, refinements, comparisons and convolutions run on these integers;
+    values is a read-only {residue: Fraction} view built on first use.  Build
+    instances with make, constant, from_callable or indicator.
+    """
 
     lattice: Lattice
-    values: dict  # canonical residue -> Fraction, one entry per residue
+    den: int
+    nums: tuple
 
     @staticmethod
     def make(lattice, mapping):
-        if not lattice.is_full_rank:
-            raise RankDeficientError("a periodic function needs a full-rank lattice")
-        values = {}
-        for r in lattice.quotient():
-            values[r] = Fraction(mapping.get(r, 0))
-        return PeriodicRationalFunction(lattice, values)
+        """The function with the given values on canonical residues of lattice
+        and 0 on the residues the mapping leaves out."""
+        index_of = _quotient(lattice).index_of
+        values = [Fraction(0)] * len(index_of)
+        for r, v in mapping.items():
+            a = index_of.get(r)
+            if a is None:
+                raise InputContractError(f"{r} is not a canonical residue of {lattice}")
+            values[a] = Fraction(v)
+        return _from_fractions(lattice, values)
 
     @staticmethod
     def constant(lattice, c):
-        return PeriodicRationalFunction.make(lattice, {r: Fraction(c) for r in lattice.quotient()})
+        c = Fraction(c)
+        return PeriodicRationalFunction(
+            lattice, c.denominator, (c.numerator,) * len(_quotient(lattice)))
 
     @staticmethod
     def from_callable(lattice, fn):
-        return PeriodicRationalFunction.make(lattice, {r: Fraction(fn(r)) for r in lattice.quotient()})
+        return _from_fractions(lattice, [Fraction(fn(r)) for r in _quotient(lattice).residues])
 
     @property
     def dim(self):
         return self.lattice.dim
 
+    @property
+    def values(self):
+        return MappingProxyType(self._values)
+
+    @cached_property
+    def _values(self):
+        # a plain dict, so that a function stays picklable once values is read
+        den = self.den
+        return {r: Fraction(n, den) for r, n in zip(self.lattice.quotient().residues, self.nums)}
+
     def __call__(self, v):
-        return self.values[self.lattice.reduce(v)]
+        lat = self.lattice
+        return Fraction(self.nums[lat.quotient().index_of[lat.reduce(v)]], self.den)
 
     def shift(self, v):
         """The function x -> f(x + v)."""
-        return convolve(WeightedTile.delta(self.dim, vneg(v)), self)
+        nums = self.nums
+        table = self.lattice.quotient().translation(v)
+        return PeriodicRationalFunction(self.lattice, self.den, tuple([nums[a] for a in table]))
 
     def refine(self, sub):
         """Re-present on a finer full-rank lattice sub; self when sub is its lattice."""
@@ -201,8 +235,10 @@ class PeriodicRationalFunction:
             return self
         if not self.lattice.contains_lattice(sub):
             raise InputContractError("refinement lattice is not contained in the current one")
-        return PeriodicRationalFunction(
-            sub, {r: self(r) for r in sub.quotient()})
+        lat, nums = self.lattice, self.nums
+        index_of = lat.quotient().index_of
+        return PeriodicRationalFunction(sub, self.den, tuple(
+            [nums[index_of[lat.reduce(r)]] for r in _quotient(sub).residues]))
 
     def common_lattice(self, other):
         if self.lattice == other.lattice:
@@ -212,16 +248,20 @@ class PeriodicRationalFunction:
     def __add__(self, other):
         if isinstance(other, PeriodicRationalFunction):
             common = self.common_lattice(other)
-            a, b = self.refine(common).values, other.refine(common).values
-            return PeriodicRationalFunction(common, {r: a[r] + b[r] for r in common.quotient()})
-        return PeriodicRationalFunction(
-            self.lattice, {r: v + Fraction(other) for r, v in self.values.items()})
+            a, b = self.refine(common), other.refine(common)
+            den = lcm(a.den, b.den)
+            ka, kb = den // a.den, den // b.den
+            return _canonical(common, den, [x * ka + y * kb for x, y in zip(a.nums, b.nums)])
+        c = Fraction(other)
+        den = lcm(self.den, c.denominator)
+        k, t = den // self.den, c.numerator * (den // c.denominator)
+        return _canonical(self.lattice, den, [n * k + t for n in self.nums])
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return PeriodicRationalFunction(self.lattice, {r: -v for r, v in self.values.items()})
+        return PeriodicRationalFunction(self.lattice, self.den, tuple([-n for n in self.nums]))
 
     def __sub__(self, other):
         return self.__add__(-other if isinstance(other, PeriodicRationalFunction) else -Fraction(other))
@@ -231,7 +271,8 @@ class PeriodicRationalFunction:
 
     def scale(self, c):
         c = Fraction(c)
-        return PeriodicRationalFunction(self.lattice, {r: c * v for r, v in self.values.items()})
+        return _canonical(self.lattice, self.den * c.denominator,
+                          [c.numerator * n for n in self.nums])
 
     def __eq__(self, other):
         """Equality as functions on Z^d, independent of the presentation lattice."""
@@ -239,51 +280,71 @@ class PeriodicRationalFunction:
             if self.dim != other.dim:
                 return False
             common = self.common_lattice(other)
-            return self.refine(common).values == other.refine(common).values
+            a, b = self.refine(common), other.refine(common)
+            return a.den == b.den and a.nums == b.nums
         try:
             c = Fraction(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return all(v == c for v in self.values.values())
+        return self.is_constant(c)
 
     def is_constant(self, c):
         c = Fraction(c)
-        return all(v == c for v in self.values.values())
+        return self.den == c.denominator and self.nums.count(c.numerator) == len(self.nums)
 
     def min_value(self):
-        return min(self.values.values())
+        return Fraction(min(self.nums), self.den)
 
     def max_value(self):
-        return max(self.values.values())
+        return Fraction(max(self.nums), self.den)
 
     def is_integer_valued(self):
-        return all(v.denominator == 1 for v in self.values.values())
+        return self.den == 1
 
     def stabilizer(self):
         """Full stabilizer {v : f(x + v) = f(x) for all x} as a canonical Lattice."""
-        return label_stabilizer(self.lattice, self.values)
+        return label_stabilizer(self.lattice, self.nums)
 
     def support_set(self):
         """Members where the function is nonzero, as a PeriodicSet (0/1 functions)."""
+        residues = self.lattice.quotient().residues
         return PeriodicSet(self.lattice,
-                           frozenset(r for r, v in self.values.items() if v))
+                           frozenset(r for r, n in zip(residues, self.nums) if n))
 
     def __repr__(self):
         items = ", ".join(f"{r}: {v}" for r, v in sorted(self.values.items()))
         return f"PeriodicRationalFunction({self.lattice!r}, {{{items}}})"
 
 
+def _quotient(lattice):
+    if not lattice.is_full_rank:
+        raise RankDeficientError("a periodic function needs a full-rank lattice")
+    return lattice.quotient()
+
+
+def _from_fractions(lattice, values):
+    """The function with the Fractions `values` in residue order.  Over the
+    lcm of the reduced denominators the numerators share no factor with it."""
+    den = lcm(*{v.denominator for v in values})
+    return PeriodicRationalFunction(
+        lattice, den, tuple([v.numerator * (den // v.denominator) for v in values]))
+
+
+def _canonical(lattice, den, nums):
+    """The function nums / den in residue order, with the common factor of
+    den and the numerators divided out."""
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [n // g for n in nums]
+    return PeriodicRationalFunction(lattice, den, tuple(nums))
+
+
 def indicator(aset):
     """1_A as a periodic rational function on A's presentation lattice."""
-    return PeriodicRationalFunction.make(
-        aset.lattice, {r: Fraction(1) for r in aset.members})
-
-
-def numerators(values, den=1):
-    """(D, numerators): D is the lcm of den and the denominators of the
-    Fractions `values`, and each value is its numerator over D."""
-    den = lcm(den, *{v.denominator for v in values})
-    return den, [v.numerator * (den // v.denominator) for v in values]
+    members = aset.members
+    return PeriodicRationalFunction(aset.lattice, 1, tuple(
+        [int(r in members) for r in _quotient(aset.lattice).residues]))
 
 
 def convolve_ints(g, quotient, values):
@@ -301,19 +362,9 @@ def convolve_ints(g, quotient, values):
 
 def convolve(g, f):
     """Exact convolution (g * f)(x) = sum_y g(y) f(x - y) of a finitely supported
-    integer function with a periodic rational function; the result keeps f's lattice.
-
-    f's values are put over one common denominator D and the sums run on
-    integer numerators in residue order; one Fraction is made per distinct
-    sum, so equal values share one object.
-    """
+    integer function with a periodic rational function; the result keeps f's
+    lattice and f's denominator, reduced against the integer sums."""
     g = as_weighted(g)
     if g.dim != f.dim:
         raise InputContractError("dimension mismatch in convolution")
-    lat = f.lattice
-    quotient = lat.quotient()
-    residues = quotient.residues
-    den, values = numerators([f.values[r] for r in residues])
-    sums = convolve_ints(g, quotient, values)
-    made = {s: Fraction(s, den) for s in set(sums)}
-    return PeriodicRationalFunction(lat, dict(zip(residues, map(made.__getitem__, sums))))
+    return _canonical(f.lattice, f.den, convolve_ints(g, f.lattice.quotient(), f.nums))

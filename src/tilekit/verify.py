@@ -5,9 +5,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputContractError
-from .tiles import as_weighted, convolve_ints, numerators
+from .tiles import as_weighted, convolve_ints
 
 DEFECT_CAP = 32
 
@@ -72,8 +73,9 @@ def is_level_tiling(g, fn, level):
         raise InputContractError("tile and function have different dimensions")
     level = Fraction(level)
     quotient = fn.lattice.quotient()
-    den, values = numerators([fn.values[r] for r in quotient.residues], level.denominator)
-    sums = convolve_ints(g, quotient, values)
+    den = lcm(fn.den, level.denominator)
+    k = den // fn.den
+    sums = convolve_ints(g, quotient, fn.nums if k == 1 else [k * n for n in fn.nums])
     return _report(quotient, sums, level.numerator * (den // level.denominator), den)
 
 
@@ -83,5 +85,4 @@ def mean(fn):
     For periodic functions this equals the limit of box averages, so the box
     limit never has to be taken at runtime.
     """
-    den, values = numerators(list(fn.values.values()))
-    return Fraction(sum(values), den * fn.lattice.index())
+    return Fraction(sum(fn.nums), fn.den * fn.lattice.index())

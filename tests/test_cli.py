@@ -1,4 +1,9 @@
+import contextlib
+import io
 import json
+import random
+
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tilekit import cli, jsonio
 from tilekit.cli import main
@@ -332,3 +337,94 @@ def test_not_a_cotile_message_prints_rationals(capsys):
     assert code == 2 and out == ""
     assert err == ("tilekit: input contract violation: "
                    "tile 0 fails: ((0, 0), 3), ((1, 0), 0)\n")
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_zero_denominator_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "--tiles", fx("six_block_tile.json"),
+                         "--cotile", fx("six_block_fn.json"), "--level", "1/0")
+    assert code == 1 and out == ""
+    assert err.endswith("error: argument --level: invalid Fraction value: '1/0'\n")
+    path = _write(tmp_path / "fn.json", {
+        "kind": "function", "lattice": {"kind": "lattice", "dim": 1, "basis": [[2]]},
+        "values": [[[0], "1/0"], [[1], 0]]})
+    code, out, err = run(capsys, "stabilizer", "--cotile", path)
+    assert code == 1 and out == ""
+    assert err == f"tilekit: cannot parse {path}: zero denominator in '1/0'\n"
+
+
+def test_conflicting_function_values_are_usage_error(capsys, tmp_path):
+    # on 2Z the entries [0] -> 1 and [2] -> 0 name one residue; loading them
+    # as the zero function would make verify report defects of 0
+    path = _write(tmp_path / "fn.json", {
+        "kind": "function", "lattice": {"kind": "lattice", "dim": 1, "basis": [[2]]},
+        "values": [[[0], 1], [[2], 0], [[1], 0]]})
+    for argv in (("verify", "--tiles", fx("six_block_tile.json"), "--cotile", path,
+                  "--level", "1"),
+                 ("stabilizer", "--cotile", path)):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"tilekit: cannot parse {path}: residue (0,) has two values, 1 and 0\n"
+
+
+_BAD_VALUES = ("1/0", "-2/0", "1/-0", "x", "", "1e999", float("inf"), True, None, [1])
+
+
+def _lattice_document(rng, dim):
+    """Mostly dim vectors with a nonzero entry at their own index, so most
+    bases have full rank; else fewer or more vectors, and now and then a
+    vector of another length or a wrong dim field."""
+    count = dim if rng.random() < 0.7 else rng.randint(0, dim + 1)
+    vectors = []
+    for j in range(count):
+        n = dim + (rng.random() < 0.05)
+        vectors.append([rng.choice((1, 2, 3, -2)) if i == j else rng.randint(-3, 3)
+                        for i in range(n)])
+    return {"kind": "lattice", "dim": dim + (rng.random() < 0.05), "basis": vectors}
+
+
+@st.composite
+def _function_documents(draw):
+    """A function document over a drawn lattice: values as ints and p/q
+    strings at residues drawn from a few points, so that repeated and
+    non-canonical residues are common; in half the documents every point has
+    one value, and in a quarter one value is not a rational (a zero
+    denominator among them)."""
+    # a seeded Random keeps the rates above; Hypothesis' own draws lean
+    # toward their simplest values
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    dim = rng.randint(1, 2)
+    points = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(rng.randint(1, 6))]
+    values = [rng.choice((rng.randint(-3, 3), f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}"))
+              for _ in points]
+    if rng.random() < 0.5:
+        values = [values[0]] * len(points)  # one value: repeated residues agree
+    entries = [[points[i], values[i]] for i in rng.choices(range(len(points)), k=rng.randint(0, 5))]
+    if rng.random() < 0.25:
+        entries.insert(rng.randint(0, len(entries)), [rng.choice(points), rng.choice(_BAD_VALUES)])
+    return {"kind": "function", "lattice": _lattice_document(rng, dim), "values": entries}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_function_documents(), st.sampled_from(["1", "2", "1/2", "1/0", "x"]),
+       st.sampled_from(["six_block_tile.json", "domino_z2_tile.json"]))
+def test_drawn_function_documents_never_escape_main(tmp_path_factory, doc, level, tiles):
+    """verify --level, decompose and stabilizer on drawn function and lattice
+    documents: exit 0, 1, 2 or 3, never 4 and never a traceback."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    fn = _write(folder / "fn.json", doc)
+    lat = _write(folder / "lat.json", doc["lattice"])
+    for argv in (["verify", "--tiles", fx(tiles), "--cotile", fn, "--level", level],
+                 ["decompose", "--tiles", fx(tiles), "--cotile", fn],
+                 ["stabilizer", "--cotile", fn],
+                 ["stabilizer", "--cotile", lat]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, doc, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tilekit import jsonio
+from tilekit.errors import InputContractError
 from tilekit.lattice import Lattice, PeriodicSet, hnf
 from tilekit.tiles import PeriodicRationalFunction, Tile, TileTuple, WeightedTile
 from tilekit.torsion import MixedPeriodicSet, MixedTile
@@ -106,3 +108,31 @@ def test_round_trip_every_kind_drawn(objs):
         kinds.add(jsonio.to_document(obj)["kind"])
         assert _round_trip(obj) == obj
     assert len(kinds) == len(objs)
+
+
+def _function_document(values):
+    return {"kind": "function", "lattice": {"kind": "lattice", "dim": 1, "basis": [[2]]},
+            "values": values}
+
+
+def test_conflicting_function_values_are_an_input_error():
+    # [2] reduces to the residue [0] of 2Z, so the first two entries clash
+    with pytest.raises(InputContractError, match=r"residue \(0,\) has two values, 1 and 0"):
+        jsonio.from_document(_function_document([[[0], 1], [[2], 0], [[1], 0]]))
+    fn = jsonio.from_document(_function_document([[[0], 1], [[2], "1/1"], [[-1], "1/2"]]))
+    assert fn == PeriodicRationalFunction.make(
+        Lattice.diagonal([2]), {(0,): 1, (1,): Fraction(1, 2)})
+
+
+def test_one_rational_parser():
+    cases = {3: 3, -2: -2, 1.5: Fraction(3, 2), "7": 7, "1/2": Fraction(1, 2),
+             " -3/4 ": Fraction(-3, 4), "1/-2": Fraction(-1, 2), "0.25": Fraction(1, 4),
+             "-.5": Fraction(-1, 2)}
+    for text, value in cases.items():
+        assert jsonio.parse_rational(text) == value
+    for bad in ("1/0", "0/0", "abc", "", "1/2/3", "1e3", "inf", "nan", None, True, [1],
+                float("inf"), float("nan"), "9" * 5000):
+        with pytest.raises(InputContractError):
+            jsonio.parse_rational(bad)
+    with pytest.raises(InputContractError, match="zero denominator in '1/0'"):
+        jsonio.from_document(_function_document([[[0], "1/0"]]))

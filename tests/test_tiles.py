@@ -1,10 +1,14 @@
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from tilekit.lattice import Lattice
+from tilekit import verify
+from tilekit.errors import InputContractError
+from tilekit.lattice import Lattice, hnf, vadd, vscale
 from tilekit.tiles import (
     PeriodicRationalFunction,
     Tile,
@@ -16,8 +20,9 @@ from tilekit.tiles import (
     indicator,
     normalize,
 )
-from conftest import (box_cotile, box_pair, convolution_cases, function_pairs,
-                      reference_convolution, reference_values, six_block, six_block_fn)
+from conftest import (DENOMINATORS, box_cotile, box_pair, canonical_residues,
+                      convolution_cases, function_pairs, hnf_lattices, reference_convolution,
+                      reference_values, six_block, six_block_fn)
 
 
 def test_normalize():
@@ -142,3 +147,70 @@ def test_sum_difference_and_equality_match_reference(pair):
         assert got.values == {x: a[x] + sign * b[x] for x in a}
     assert (f == g) == (a == b)
     assert (g == f) == (a == b)
+
+
+def test_make_rejects_a_key_that_is_not_a_canonical_residue():
+    lat = Lattice.diagonal([2])
+    with pytest.raises(InputContractError, match="not a canonical residue"):
+        PeriodicRationalFunction.make(lat, {(0,): 1, (2,): 0})
+    assert PeriodicRationalFunction.make(lat, {(1,): 3}).values == {(0,): 0, (1,): 3}
+
+
+@st.composite
+def _functions(draw):
+    """(vals, f): Fractions on the canonical residues of a drawn lattice, and
+    f made from them.  The values are drawn values, one constant or zero."""
+    lat = draw(hnf_lattices(24))
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("drawn", "drawn", "constant", "zero")))
+    c = Fraction(rng.randint(-4, 4), rng.choice(DENOMINATORS)) if kind == "constant" else 0
+    vals = {r: Fraction(rng.randint(-4, 4), rng.choice(DENOMINATORS)) if kind == "drawn"
+            else Fraction(c) for r in canonical_residues(lat)}
+    return vals, PeriodicRationalFunction.make(lat, vals)
+
+
+_scalars = st.builds(Fraction, st.integers(-4, 4), st.sampled_from(DENOMINATORS))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_functions(), st.tuples(*[st.integers(-7, 7)] * 3), _scalars, st.data())
+def test_integer_form_matches_fraction_oracle(case, point, c, data):
+    """Every operation on (den, nums) against the same operation on the
+    Fraction values, with each shift and refinement taken through reduce."""
+    vals, f = case
+    lat = f.lattice
+    v = point[:lat.dim]
+    assert f.den > 0 and gcd(f.den, *f.nums) == 1
+    assert f.values == vals and PeriodicRationalFunction.make(lat, f.values) == f
+    assert pickle.loads(pickle.dumps(f)) == f
+    assert f.shift(v).values == {x: vals[lat.reduce(vadd(x, v))] for x in vals}
+    assert f.scale(c).values == {x: c * y for x, y in vals.items()}
+    assert (-f).values == {x: -y for x, y in vals.items()}
+    assert (f - c).values == {x: y - c for x, y in vals.items()}
+    assert (c - f).values == {x: c - y for x, y in vals.items()}
+    sub = hnf(lat.dim, [vscale(data.draw(st.integers(1, 3)), col) for col in lat.basis])
+    assert f.refine(sub).values == {x: vals[lat.reduce(x)] for x in canonical_residues(sub)}
+    some = data.draw(st.sampled_from(sorted(vals.values())))
+    for t in (c, some):
+        assert f.is_constant(t) == all(y == t for y in vals.values())
+        assert (f == t) == f.is_constant(t)
+    assert f.min_value() == min(vals.values()) and f.max_value() == max(vals.values())
+    assert f.is_integer_valued() == all(y.denominator == 1 for y in vals.values())
+    assert f.support_set().members == {x for x, y in vals.items() if y}
+    assert verify.mean(f) == sum(vals.values()) / len(vals)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(function_pairs())
+def test_one_function_has_one_integer_form(pair):
+    """Presentations of one function, refined to one lattice, have equal
+    (den, nums), and so do results of arithmetic that give the function back."""
+    f, g = pair
+    common = f.lattice.intersect(g.lattice)
+    a, b = f.refine(common), g.refine(common)
+    same = reference_values(f, common) == reference_values(g, common)
+    assert ((a.den, a.nums) == (b.den, b.nums)) == same
+    for h in ((f + f).scale(Fraction(1, 2)), f.scale(3).scale(Fraction(1, 3)),
+              f + g - g, -(-f)):
+        h = h.refine(common)
+        assert (h.den, h.nums) == (a.den, a.nums)
