@@ -35,6 +35,7 @@ from .analysis import (
     RationalSubspace,
     SpanClassification,
     StarResult,
+    avoid_subspaces,
     has_property_star,
     is_independent_tuple,
     span_classes,
@@ -79,7 +80,6 @@ from .torsion import (
 from .construct import (
     AffineSubspace,
     PeriodicityCertificate,
-    avoid_subspaces,
     brother_tiles,
     equiv_condition,
     forcing_assignment,

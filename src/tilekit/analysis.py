@@ -1,79 +1,95 @@
 """Exact linear algebra over Q for tuples of tiles.
 
 Independence of tuples, the span-uniqueness property for (d-1)-tuples,
-classification of point selections by the hyperplane they span, and quotient
-dimensions modulo a subspace.  Ranks of integer vectors come from the integer
-Hermite form `lattice._row_hnf`; subspaces are made canonical by a reduced row
-echelon form over Q, so equal spans compare and hash equal.
+classification of point selections by the hyperplane they span, quotient
+dimensions modulo a subspace, and the first lattice point off a family of
+subspaces.  There is one elimination, the integer Hermite form
+`lattice._row_hnf`: every rank, span and membership question is an integer
+rank question on its rows.  The reduced row echelon form over Q, read off the
+Hermite form by back-substitution, is only the normal form that makes equal
+spans compare and hash equal.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotIndependentError, WrongArityError
-from .lattice import _row_hnf, vadd
+from .errors import InputContractError, InternalError, NotIndependentError, WrongArityError
+from .lattice import _row_hnf, enumerate_points, vadd
 
 
-def _rref(rows):
-    """Reduced row echelon form over Q, zero rows dropped."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return []
-    row = 0
-    for col in range(len(work[0])):
-        pr = next((i for i in range(row, len(work)) if work[i][col]), None)
-        if pr is None:
-            continue
-        work[row], work[pr] = work[pr], work[row]
-        pivot = work[row][col]
-        if pivot != 1:
-            work[row] = [a / pivot for a in work[row]]
-        for i in range(len(work)):
-            f = work[i][col]
-            if f and i != row:
-                work[i] = [a - f * b for a, b in zip(work[i], work[row])]
-        row += 1
-    return work[:row]
+def _rref(hermite):
+    """Reduced row echelon form over Q of the rows of a row Hermite form.
+
+    The pivots are the leading entries of the Hermite rows, so no pivot is
+    searched for: from the last row up, each row is cleared at the pivot
+    columns of the rows below it in integers and then divided by its pivot.
+    """
+    done = []  # (pivot column, integer row cleared at the later pivots)
+    for h in reversed(hermite):
+        row = list(h)
+        for c, r in done:
+            if row[c]:
+                f, g = row[c], r[c]
+                row = [g * a - f * b for a, b in zip(row, r)]
+        done.append((next(i for i, a in enumerate(row) if a), row))
+    return tuple(tuple(Fraction(a, row[c]) for a in row) for c, row in reversed(done))
 
 
 @dataclass(frozen=True)
 class RationalSubspace:
-    """A linear subspace of Q^dim_ambient in canonical reduced row echelon form."""
+    """A linear subspace of Q^dim_ambient.
+
+    `rows` is the integer row Hermite form of its generators and answers
+    `dim`, `contains` and `join`; `basis`, the reduced row echelon form over Q
+    read off `rows`, is the canonical key that equality and hashing compare.
+    """
 
     dim_ambient: int
     basis: tuple  # rref rows as tuples of Fractions; no zero rows
+    rows: tuple = field(compare=False)  # integer row Hermite form; not canonical
 
     @staticmethod
     def from_vectors(dim_ambient, vectors):
-        return RationalSubspace(dim_ambient, tuple(map(tuple, _rref(vectors))))
+        rows = tuple(map(tuple, _row_hnf(vectors, dim_ambient)))
+        return RationalSubspace(dim_ambient, _rref(rows), rows)
 
     @staticmethod
     def zero(dim_ambient):
-        return RationalSubspace(dim_ambient, ())
+        return RationalSubspace(dim_ambient, (), ())
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
     def contains(self, v):
-        rem = [Fraction(x) for x in v]
-        for row in self.basis:
-            col = next(i for i, a in enumerate(row) if a != 0)
-            if rem[col] != 0:
-                f = rem[col]
-                rem = [a - f * b for a, b in zip(rem, row)]
-        return not any(rem)
+        """Whether adding v to the generators leaves the rank unchanged."""
+        return len(_row_hnf(self.rows + (v,), self.dim_ambient)) == len(self.rows)
 
     def join(self, vectors):
         """Span of this subspace together with extra vectors."""
-        return RationalSubspace.from_vectors(
-            self.dim_ambient, list(self.basis) + [list(v) for v in vectors])
+        return RationalSubspace.from_vectors(self.dim_ambient, self.rows + tuple(vectors))
 
     def __repr__(self):
         return f"RationalSubspace({self.dim_ambient}, {[list(map(str, r)) for r in self.basis]})"
+
+
+def avoid_subspaces(lat, subspaces):
+    """First lattice point (pinned enumeration order) in none of the subspaces.
+
+    The subspaces are linear or affine; each must be proper, so the complement
+    is infinite and the scan terminates.
+    """
+    d = lat.dim
+    for sub in subspaces:
+        if sub.dim >= d:
+            raise InputContractError("subspaces must have dimension < d")
+    for p in enumerate_points(lat):
+        if not any(sub.contains(p) for sub in subspaces):
+            return p
+    raise InternalError("unreachable: proper subspaces cannot cover a lattice")
 
 
 @dataclass(frozen=True)
@@ -165,16 +181,11 @@ def has_property_star(t):
     """Span-uniqueness for a (d-1)-tuple: equal spans force equal first d-2 picks.
 
     Requires len(t) == dim - 1 and an independent tuple; vacuously true in
-    dimension 2.
+    dimension 2, where every prefix is empty.
     """
     d = t.dim
     if len(t) != d - 1:
         raise WrongArityError(f"expected a tuple of length {d - 1}, got {len(t)}")
-    ind = is_independent_tuple(t)
-    if not ind:
-        raise NotIndependentError(ind.witness)
-    if d == 2:
-        return StarResult(True, None)
     for _, tuples in span_classes(t):
         prefix = tuples[0][:d - 2]
         for other in tuples[1:]:

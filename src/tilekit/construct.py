@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     InputContractError,
@@ -24,9 +23,10 @@ from .errors import (
     RankDeficientError,
     TrivialTileError,
 )
-from .lattice import enumerate_points, stabilizer, vadd, vneg
+from .lattice import stabilizer, vadd, vneg, vsub
 from .tiles import Tile, TileTuple
-from .analysis import RationalSubspace, has_property_star, is_independent_tuple, vw_dimension
+from .analysis import (RationalSubspace, avoid_subspaces, has_property_star,
+                       is_independent_tuple, vw_dimension)
 from . import verify
 from . import solve as _solve
 
@@ -43,8 +43,7 @@ class AffineSubspace:
         return self.direction.dim
 
     def contains(self, v):
-        return self.direction.contains(tuple(Fraction(a) - Fraction(b)
-                                             for a, b in zip(v, self.offset)))
+        return self.direction.contains(vsub(v, self.offset))
 
 
 def translate_by_lattice(tile, shifts, lat):
@@ -62,22 +61,6 @@ def translate_by_lattice(tile, shifts, lat):
     if len(set(moved)) != len(moved):
         raise InputContractError("shifted points collide; cardinality not preserved")
     return Tile.make(tile.dim, moved)
-
-
-def avoid_subspaces(lat, subspaces):
-    """First lattice point (pinned enumeration order) in none of the subspaces.
-
-    Each subspace must be proper, so the complement is infinite and the scan
-    terminates.
-    """
-    d = lat.dim
-    for sub in subspaces:
-        if sub.dim >= d:
-            raise InputContractError("subspaces must have dimension < d")
-    for p in enumerate_points(lat):
-        if not any(sub.contains(p) for sub in subspaces):
-            return p
-    raise InternalError("unreachable: proper subspaces cannot cover a lattice")
 
 
 def forcing_assignment(vectors, lat, w_list):
@@ -140,15 +123,10 @@ def brother_tiles(tile, aset):
     star = tile.sorted_star
     k = len(star)
     vectors = [star[i % k] for i in range(k * (d - 1))]
-    w_list = [RationalSubspace.from_vectors(d, [p]) for p in tile.sorted_points]
-    # span{0} is the zero subspace; avoiding its shift is a point condition
-    seen = set()
-    w_unique = []
-    for w in w_list:
-        if w.basis not in seen:
-            seen.add(w.basis)
-            w_unique.append(w)
-    assignment = forcing_assignment(vectors, lat, w_unique)
+    # one W per distinct span{p}; span{0} is the zero subspace, where avoiding
+    # a shift is a point condition
+    w_list = dict.fromkeys(RationalSubspace.from_vectors(d, [p]) for p in tile.sorted_points)
+    assignment = forcing_assignment(vectors, lat, list(w_list))
 
     brothers = []
     for j in range(d - 1):

@@ -23,7 +23,6 @@ nodes, and polynomial-map testing via iterated discrete derivatives.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -301,13 +300,9 @@ def psi_by_span(tree, classes):
 
 def _lattice_in_subspace(space):
     """The lattice of integer points inside a rational subspace: the integer
-    vectors orthogonal to every integer normal of its basis."""
+    vectors orthogonal to the integer kernel of its Hermite rows."""
     d = space.dim_ambient
-    rows = []
-    for row in space.basis:
-        den = math.lcm(*(x.denominator for x in row))
-        rows.append([int(x * den) for x in row])
-    return hnf(d, _integer_kernel(_integer_kernel(rows, d), d))
+    return hnf(d, _integer_kernel(_integer_kernel(space.rows, d), d))
 
 
 def discrete_derivative(fn, v):

@@ -8,11 +8,13 @@ within each pivot row the entries to the right of the pivot are reduced into
 matrices are equal.  All arithmetic is on Python ints, so pivots and indices
 never overflow.
 
-The integer row Hermite form `_row_hnf` is the only integer elimination.  It
-gives the canonical bases, membership in a lattice of deficient rank (v lies
-in L when adding v leaves the canonical basis unchanged) and the integer
+The integer row Hermite form `_row_hnf` is the only elimination in tilekit.
+It gives the canonical bases, membership in a lattice of deficient rank (v
+lies in L when adding v leaves the canonical basis unchanged), the integer
 kernel `_integer_kernel`, the one kernel routine, on which intersections and
-every other kernel question rest.
+every other kernel question rest, and the rank, span and membership answers
+of `analysis.RationalSubspace`, whose reduced row echelon form over Q is read
+off the Hermite form as its normal form.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from .lattice import (
     Lattice,
     PeriodicSet,
     _integer_kernel,
-    enumerate_points,
     enumerate_sublattices,
     hnf,
     stabilizer,
@@ -37,7 +36,7 @@ from .lattice import (
 )
 from .tiles import PeriodicRationalFunction, TileTuple, convolve, indicator
 from . import verify
-from .analysis import RationalSubspace
+from .analysis import RationalSubspace, avoid_subspaces
 from .decompose import primorial
 
 
@@ -471,19 +470,6 @@ class BlockGraph:
         return tuple(node[0] for node in cycle)
 
 
-def _span_of(lat):
-    return RationalSubspace.from_vectors(lat.dim, lat.basis)
-
-
-def _pick_transversal(gamma0, ambient):
-    """First point of the pinned enumeration of `ambient` outside span(gamma0)."""
-    span = _span_of(gamma0)
-    for p in enumerate_points(ambient):
-        if any(p) and not span.contains(p):
-            return p
-    raise InternalError("unreachable: a full-rank lattice leaves any hyperplane")
-
-
 class _Recoder:
     """Decomposition w = gamma + n*v + u with gamma in gamma0, u in the
     fundamental domain of gamma0 + Zv.
@@ -529,7 +515,8 @@ def periodic_point_from_constraints(constraints, gamma0, ambient):
         for g in gamma0.basis:
             if not target.stabilizer().contains(g):
                 raise InputContractError("invariance lattice does not fix a constraint target")
-    v = _pick_transversal(gamma0, ambient)
+    # the transversal: the first point of `ambient` off span(gamma0)
+    v = avoid_subspaces(ambient, [RationalSubspace.from_vectors(dim, gamma0.basis)])
     rec = _Recoder(gamma0, v)
     domain = rec.domain
     m = len(domain)

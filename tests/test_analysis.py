@@ -1,7 +1,9 @@
 import gc
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tilekit.analysis import (
     RationalSubspace,
@@ -156,3 +158,50 @@ def test_vw_dimension_examples():
     assert vw_dimension([(1, 1)], [(0, 0)], (0,), w) == 1
     z = RationalSubspace.zero(2)
     assert vw_dimension([(1, 0), (0, 1)], [(0, 0), (0, 0)], (0, 1), z) == 2
+
+
+@st.composite
+def _vectors_and_probe(draw):
+    """d, up to d + 1 vectors in [-4, 4]^d (some zero, some integer
+    combinations of earlier ones) and a probe v, drawn from their span half
+    the time."""
+    d = draw(st.integers(1, 4))
+    entry = st.integers(-4, 4)
+    vectors = []
+    for _ in range(draw(st.integers(0, d + 1))):
+        kind = draw(st.sampled_from(["drawn", "drawn", "zero", "combination"]))
+        if kind == "zero":
+            vectors.append((0,) * d)
+        elif kind == "combination" and vectors:
+            a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            vectors.append(tuple(s * x + t * y for x, y in zip(a, b)))
+        else:
+            vectors.append(tuple(draw(entry) for _ in range(d)))
+    if vectors and draw(st.booleans()):
+        coefficients = [draw(st.integers(-2, 2)) for _ in vectors]
+        v = tuple(sum(c * u[i] for c, u in zip(coefficients, vectors)) for i in range(d))
+    else:
+        v = tuple(draw(entry) for _ in range(d))
+    return d, vectors, v
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_vectors_and_probe())
+def test_span_layer_matches_sympy(case):
+    """basis is the nonzero part of sympy's RREF; dim, contains and join
+    agree with sympy ranks, members and non-members alike."""
+    sympy = pytest.importorskip("sympy")
+    d, vectors, v = case
+    space = RationalSubspace.from_vectors(d, vectors)
+    matrix = sympy.Matrix(len(vectors), d, [x for u in vectors for x in u])
+    rank = matrix.rank()
+    rref = [tuple(Fraction(int(x.p), int(x.q)) for x in matrix.rref()[0].row(i))
+            for i in range(rank)]
+    assert space.basis == tuple(rref)
+    assert all(type(x) is Fraction for row in space.basis for x in row)
+    assert space.dim == rank
+    joined_rank = sympy.Matrix.vstack(matrix, sympy.Matrix([v])).rank()
+    assert space.contains(v) == (joined_rank == rank)
+    assert space.join([v]).dim == joined_rank
+    assert space.join([v]) == RationalSubspace.from_vectors(d, vectors + [v])

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import random
 
@@ -344,6 +345,19 @@ def _write(path, doc):
     return str(path)
 
 
+def test_zp_ring_inverse_above_the_limit_is_contract_violation(capsys, tmp_path):
+    # {(0, 0)} tiles with the whole fiber; its verdict needs the inverse of
+    # {0} in Z/103Z, the first prime above the ring-inverse limit
+    tile = _write(tmp_path / "tile.json", {"kind": "mixed_tile", "p": 103, "points": [[0, 0]]})
+    cot = _write(tmp_path / "cot.json", {"kind": "mixed_periodic_set", "p": 103, "period": 1,
+                                         "members": [[0, t] for t in range(103)]})
+    code, out, err = run(capsys, "zp", "--p", "103", "--tile", tile, "--cotile", cot)
+    assert code == 2 and out == ""
+    assert err == "tilekit: input contract violation: ring inverse too large: p = 103 is above 101\n"
+    code, out, err = run(capsys, "zp", "--p", "103", "--tile", tile)
+    assert (code, out, err) == (0, "classification: generic\n", "")
+
+
 def test_zero_denominator_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--tiles", fx("six_block_tile.json"),
                          "--cotile", fx("six_block_fn.json"), "--level", "1/0")
@@ -369,6 +383,15 @@ def test_conflicting_function_values_are_usage_error(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == f"tilekit: cannot parse {path}: residue (0,) has two values, 1 and 0\n"
+
+
+def _assert_no_escape(argv, docs):
+    """main(argv) exits 0, 1, 2 or 3, never 4, and prints no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, docs, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 _BAD_VALUES = ("1/0", "-2/0", "1/-0", "x", "", "1e999", float("inf"), True, None, [1])
@@ -423,8 +446,121 @@ def test_drawn_function_documents_never_escape_main(tmp_path_factory, doc, level
                  ["decompose", "--tiles", fx(tiles), "--cotile", fn],
                  ["stabilizer", "--cotile", fn],
                  ["stabilizer", "--cotile", lat]):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 2, 3), (argv, doc, err.getvalue())
-        assert "Traceback" not in err.getvalue()
+        _assert_no_escape(argv, doc)
+
+
+def _points(rng, dim, count):
+    """count points near the origin; now and then one of another length."""
+    return [[rng.randint(-2, 2) for _ in range(dim + (rng.random() < 0.03))]
+            for _ in range(count)]
+
+
+def _tile_document(rng, dim):
+    """Mostly normalized (the origin first), now and then empty or not."""
+    points = _points(rng, dim, rng.randint(0, 4))
+    if rng.random() < 0.8:
+        points.insert(0, [0] * dim)
+    return {"kind": "tile", "dim": dim + (rng.random() < 0.03), "points": points}
+
+
+def _periodic_set_document(rng, dim):
+    return {"kind": "periodic_set", "lattice": _lattice_document(rng, dim),
+            "members": _points(rng, dim, rng.randint(0, 4))}
+
+
+def _box_tiling(rng, dim):
+    """A box of at most four cells, a lattice co-tile of it presented on a
+    refinement (split into one or two pieces) and a rank dim - 1 sublattice
+    of its stabilizer."""
+    sides = [rng.randint(1, 2) for _ in range(dim)]
+    if dim == 3:
+        sides[rng.randrange(dim)] = 1
+    tile = [list(p) for p in itertools.product(*(range(s) for s in sides))]
+    cols = [[s if i == j else 0 for i in range(dim)] for j, s in enumerate(sides)]
+    if dim > 1:
+        cols[1][0] = rng.randrange(sides[0])  # a shear along the first axis
+    k = rng.randint(1, 2)
+    refined = [[k * x for x in cols[0]]] + cols[1:]
+    members = [[j * x for x in cols[0]] for j in range(k)]
+    cut = rng.randint(1, len(members))
+
+    def pset(part):
+        return {"kind": "periodic_set", "lattice": {"kind": "lattice", "dim": dim,
+                                                    "basis": refined}, "members": part}
+
+    return ({"kind": "tile", "dim": dim, "points": tile}, pset(members),
+            [pset(members[:cut])] + ([pset(members[cut:])] if members[cut:] else []),
+            {"kind": "lattice", "dim": dim, "basis": refined[1:]})
+
+
+def _mixed_documents(rng):
+    """A mixed tile and a mixed periodic set, half the time a tiling: one
+    point in each of m columns with whole fibers every m columns, or whole
+    fibers in m columns with one point every m columns.  Small moduli, with a
+    composite or nonpositive one now and then."""
+    p = rng.choice((2, 3, 5, 7, 2, 3, 4, 1, 0))
+    q, m = max(p, 1), rng.randint(1, 3)
+    fibers = [[0, t] for t in range(q)]
+    if rng.random() < 0.25:
+        points, members = [[n, rng.randrange(q)] for n in range(m)], fibers
+    elif rng.random() < 1 / 3:
+        points, members = [[n, t] for n in range(m) for t in range(q)], [[0, rng.randrange(q)]]
+    else:
+        points = [[rng.randint(-2, 2), rng.randrange(q)] for _ in range(rng.randint(0, 4))]
+        members = [[rng.randint(0, 3), rng.randrange(q)] for _ in range(rng.randint(0, 4))]
+        m = rng.randint(-1, 3)
+    return ({"kind": "mixed_tile", "p": p, "points": points},
+            {"kind": "mixed_periodic_set", "p": p, "period": m, "members": members})
+
+
+@st.composite
+def _cli_documents(draw):
+    """Tile, tuple, periodic-set, weighted-tile, lattice and mixed documents;
+    in a third of the draws the tile, co-tile, pieces and gamma0 come from a
+    real tiling by a box, so the commands get past their checks."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    dim = rng.randint(1, 3)
+    if rng.random() < 1 / 3:
+        tile, pset, pieces, gamma0 = _box_tiling(rng, dim)
+    else:
+        tile, pset = _tile_document(rng, dim), _periodic_set_document(rng, dim)
+        pieces = [pset, _periodic_set_document(rng, dim)][:rng.randint(1, 2)]
+        gamma0 = _lattice_document(rng, dim)
+    tiles = [tile] + [_tile_document(rng, dim) for _ in range(rng.randint(0, dim))]
+    weighted = {"kind": "weighted_tile", "dim": dim,
+                "entries": [[p, rng.randint(-1, 2)] for p in _points(rng, dim, rng.randint(1, 3))]}
+    mixed_tile, mixed_set = _mixed_documents(rng)
+    return {"tile": tile, "tuple": {"kind": "tile_tuple", "tiles": tiles}, "pset": pset,
+            "pieces": pieces, "gamma0": gamma0, "weighted": weighted,
+            "mixed_tile": mixed_tile, "mixed_set": mixed_set,
+            "max_index": str(rng.randint(1, 6)), "p": str(rng.choice((mixed_tile["p"], 3)))}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_cli_documents())
+def test_drawn_documents_never_escape_main(tmp_path_factory, docs):
+    """Every command on drawn tile, tuple, periodic-set, weighted-tile and
+    mixed documents: exit 0, 1, 2 or 3, never 4 and never a traceback."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = {name: _write(folder / f"{name}.json", docs[name])
+            for name in ("tile", "tuple", "pset", "gamma0", "weighted", "mixed_tile", "mixed_set")}
+    pieces = [_write(folder / f"piece{i}.json", d) for i, d in enumerate(docs["pieces"])]
+    for argv in (["verify", "--tiles", path["tuple"], "--cotile", path["pset"]],
+                 ["verify", "--tiles", path["weighted"], "--cotile", path["pset"], "--level", "1"],
+                 ["solve", "--tiles", path["tile"], "--max-index", docs["max_index"]],
+                 ["solve", "--tiles", path["tuple"], "--max-index", docs["max_index"]],
+                 ["solve-z", "--tile", path["tile"]],
+                 ["independent", "--tiles", path["tuple"]],
+                 ["star", "--tiles", path["tuple"]],
+                 ["brothers", "--tile", path["tile"], "--cotile", path["pset"]],
+                 ["lift", "--tiles", path["tile"], "--cotile", path["pset"],
+                  "--gamma0", path["gamma0"]],
+                 ["piecewise", "--tiles", path["tile"], "--pieces", *pieces],
+                 ["piecewise", "--tiles", path["tile"], "--pieces", *pieces,
+                  "--stabilizers", *[path["gamma0"]] * len(pieces)],
+                 ["stabilizer", "--cotile", path["pset"]],
+                 ["zp", "--p", docs["p"], "--tile", path["mixed_tile"]],
+                 ["zp", "--p", docs["p"], "--tile", path["mixed_tile"],
+                  "--cotile", path["mixed_set"]]):
+        _assert_no_escape(argv, docs)

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tilekit.errors import EmptyOrFullError, NotACotileError, NotPrimeError
+from tilekit import torsion
+from tilekit.decompose import is_prime
+from tilekit.errors import EmptyOrFullError, InputContractError, NotACotileError, NotPrimeError
 from tilekit.torsion import (
+    RING_INVERSE_MAX_P,
     CyclicFunction,
     MixedPeriodicSet,
     MixedTile,
@@ -74,6 +77,25 @@ def test_ring_inverse_errors():
         ring_inverse(set(), 3)
     with pytest.raises(EmptyOrFullError):
         ring_inverse({0, 1, 2}, 3)
+
+
+def test_ring_inverse_refuses_primes_above_the_limit(monkeypatch):
+    assert is_prime(RING_INVERSE_MAX_P)
+    assert ring_inverse({0}, RING_INVERSE_MAX_P) == CyclicFunction.delta(RING_INVERSE_MAX_P)
+    p = next(q for q in itertools.count(RING_INVERSE_MAX_P + 1) if is_prime(q))
+
+    def no_circulant(rows, width):
+        raise AssertionError("the circulant was built")
+
+    # refused at once: the circulant's kernel is never taken
+    monkeypatch.setattr(torsion, "_integer_kernel", no_circulant)
+    with pytest.raises(InputContractError, match=f"p = {p} is above {RING_INVERSE_MAX_P}"):
+        ring_inverse({0, 1}, p)
+    # classification and full-fiber verdicts need no inverse, at any prime
+    full = MixedTile.make(p, [(0, t) for t in range(p)])
+    assert classify(full).is_full_fiber
+    assert cotile_conclusion(full, MixedPeriodicSet.make(p, 1, [(0, 0)])).kind == "full_fiber"
+    assert classify(MixedTile.make(p, [(0, 0)])).kind == "generic"
 
 
 def test_classify_product_form():
