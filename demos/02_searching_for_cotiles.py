@@ -1,8 +1,8 @@
 """Searching for periodic joint co-tiles.
 
 Restricting the tiling equations to a finite quotient Z^d / L turns the search
-into an exact cover problem, solved by backtracking with per-tile coverage
-counters.  Sweeping candidate lattices by index then finds every solution
+into an exact cover problem, solved by a depth-first search over big-int
+coverage masks.  Sweeping candidate lattices by index then finds every solution
 whose stabilizer index stays under a bound.  In one dimension Newman's
 forced-placement automaton decides tiling outright.
 """

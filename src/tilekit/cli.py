@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from . import jsonio, verify
@@ -176,7 +177,11 @@ def _cmd_verify(args):
         return EXIT_OK if report.ok else EXIT_FALSE
     tiles = _load_tuple(args.tiles)
     cot = _load(args.cotile, PeriodicSet)
-    report = verify.is_joint_cotile(tiles, cot)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = verify.is_joint_cotile(tiles, cot)
+    for w in caught:
+        print(f"tilekit: note: {w.message}", file=sys.stderr)
     doc = {"command": "verify", "ok": report.ok, "failing_tile": report.failing_tile,
            "defects": _defects_json(report.report) if report.report is not None else []}
     lines = [f"joint tiling: {'holds' if report.ok else 'fails'}"]

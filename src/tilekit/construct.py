@@ -69,8 +69,11 @@ def forcing_assignment(vectors, lat, w_list):
     For each j in turn, g(j) avoids every affine subspace
     -v_j + span{v_i + g(i) : i in J} + W over W in w_list and J a subset of
     the earlier indices of size at most d - dim(W) - 1.  The postcondition
-    dim(V_W(J)) = min(d - dim W, |J|) is then re-verified exhaustively over
-    all subsets J and all W.
+    dim(V_W(J)) = min(d - dim W, |J|) is then re-verified for every W over
+    all subsets J of size at most d - dim W.  That covers every J: a larger
+    J contains a subset of that size, whose V_W already has dimension
+    d - dim W, and V_W(J) can neither lose dimension by adding vectors nor
+    exceed d - dim W.
     """
     d = lat.dim
     for w in w_list:
@@ -89,7 +92,7 @@ def forcing_assignment(vectors, lat, w_list):
 
     for w in w_list:
         target_cap = d - w.dim
-        for size in range(len(vectors) + 1):
+        for size in range(min(target_cap, len(vectors)) + 1):
             for subset in itertools.combinations(range(len(vectors)), size):
                 got = vw_dimension(vectors, assignment, subset, w)
                 if got != min(target_cap, size):

@@ -267,12 +267,15 @@ class QuotientGroup:
     Residue number a has digits a_i in [0, pivot_i) with the first coordinate
     varying fastest: a = a_0 + p_0 * (a_1 + p_1 * (a_2 + ...)).  This class is
     the only code that knows that order; residues and index_of are built on
-    first use.  Translation tables are kept once built, as tuples, up to
-    TABLE_CELLS residue numbers in all; beyond that the oldest tables are
-    dropped first, so a large quotient or many distinct shifts cannot grow
-    memory without limit.  Obtain instances through Lattice.quotient(), which
-    shares one per lattice; nothing here refers back to the instance, so it
-    forms no reference cycle.
+    first use.  Translation tables asked for with keep, as convolution does,
+    are kept once built, as tuples, up to TABLE_CELLS residue numbers in all;
+    beyond that the oldest tables are dropped first, so a large quotient or
+    many distinct shifts cannot grow memory without limit.  The cover search
+    and the stabilizer probes build theirs for one call and keep none: a
+    sweep meets every lattice once, so kept tables would rarely be reused.
+    Obtain instances through Lattice.quotient(), which shares one per
+    lattice; nothing here refers back to the instance, so it forms no
+    reference cycle.
     """
 
     def __init__(self, lattice):
@@ -403,7 +406,7 @@ def enumerate_points(lat):
         s += 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicSet:
     """An L-periodic subset of Z^d: a full-rank lattice plus member residues."""
 
@@ -442,8 +445,11 @@ class PeriodicSet:
         return PeriodicSet(sub, members)
 
     def on_stabilizer(self):
-        """Canonical presentation on the full stabilizer lattice."""
+        """Canonical presentation on the full stabilizer lattice (self when
+        the lattice is already the stabilizer)."""
         stab = stabilizer(self)
+        if stab == self.lattice:
+            return self
         members = frozenset(stab.reduce(m) for m in self.members)
         return PeriodicSet(stab, members)
 
@@ -475,9 +481,9 @@ def label_stabilizer(lat, labels):
     the label of every residue outside the largest class: translation is a
     bijection, so the largest class is then kept too.  Each test reads labels
     through a translation table that is not kept, so probing cannot evict the
-    tables that convolution and the cover search reuse.  The coset x0 + found
-    is kept as residue numbers, the orbit of x0 under the tables of the shifts
-    found, so a candidate already in found costs one set lookup.
+    tables that convolution reuses.  The coset x0 + found is kept as residue
+    numbers, the orbit of x0 under the tables of the shifts found, so a
+    candidate already in found costs one set lookup.
     """
     quotient = lat.quotient()
     residues = quotient.residues

@@ -1,8 +1,8 @@
 """Search for periodic joint co-tiles.
 
 Covers four layers of machinery: exact cover of a finite quotient by the
-projected tiles (backtracking with per-tile coverage counters), enumeration of
-candidate period lattices, the one-dimensional decision procedure (Newman's
+projected tiles (depth-first search over big-int coverage masks), enumeration
+of candidate period lattices, the one-dimensional decision procedure (Newman's
 forced-placement automaton), and the recoding of translation-invariant constraint
 systems into one-dimensional block graphs whose cycles decode to fully
 periodic solutions.
@@ -30,7 +30,6 @@ from .lattice import (
     hnf,
     stabilizer,
     vadd,
-    vneg,
     vscale,
     vsub,
 )
@@ -71,132 +70,54 @@ class SearchProblem:
         return all(self.injective) and self.size_divides
 
 
-_UNKNOWN, _IN, _OUT = 0, 1, 2
-
-
-class _CoverSearch:
-    """Joint exact cover by backtracking with per-tile coverage counters."""
-
-    def __init__(self, problem):
-        self.quotient = problem.lattice.quotient()
-        self.n = len(self.quotient)
-        self.k = len(problem.tiles)
-        # covers[i][a] = residues covered when a enters the solution (a + F_i)
-        # providers[i][y] = residues that would cover y (y - F_i)
-        self.covers = []
-        self.providers = []
-        for res in problem.projected:
-            self.covers.append(list(zip(*[self.quotient.translation(f) for f in res])))
-            self.providers.append(list(zip(*[self.quotient.translation(vneg(f))
-                                             for f in res])))
-
-    def run(self, mode):
-        n, k = self.n, self.k
-        status = [_UNKNOWN] * n
-        counts = [[0] * n for _ in range(k)]
-        cands = [[len(self.providers[i][y]) for y in range(n)] for i in range(k)]
-        covered = [0] * k
-        trail = []
-        solutions = []
-
-        def set_out(z):
-            if status[z] == _OUT:
-                return True
-            status[z] = _OUT
-            trail.append(("status", z))
-            for i in range(k):
-                for y in self.covers[i][z]:
-                    cands[i][y] -= 1
-                    trail.append(("cand", i, y))
-                    if cands[i][y] == 0 and counts[i][y] == 0:
-                        return False
-            return True
-
-        def set_in(a):
-            status[a] = _IN
-            trail.append(("status", a))
-            newly_full = []
-            for i in range(k):
-                for y in self.covers[i][a]:
-                    counts[i][y] += 1
-                    trail.append(("count", i, y))
-                    if counts[i][y] > 1:
-                        return False
-                    covered[i] += 1
-                    trail.append(("covered", i))
-                    newly_full.append((i, y))
-            for i, y in newly_full:
-                for z in self.providers[i][y]:
-                    if status[z] == _UNKNOWN and not set_out(z):
-                        return False
-            return True
-
-        def undo(mark):
-            while len(trail) > mark:
-                entry = trail.pop()
-                if entry[0] == "status":
-                    status[entry[1]] = _UNKNOWN
-                elif entry[0] == "count":
-                    counts[entry[1]][entry[2]] -= 1
-                elif entry[0] == "cand":
-                    cands[entry[1]][entry[2]] += 1
-                else:
-                    covered[entry[1]] -= 1
-
-        # Depth-first search on an explicit stack, so depth is not bounded by
-        # the recursion limit.  A frame branches on the least residue left
-        # uncovered by tile 1: (its providers, next position, current branch,
-        # trail mark of that branch).
-        # A failed branch is excluded for the remaining branches of its frame.
-        frames = []
-        expand = True
-        while True:
-            if expand:
-                if all(covered[i] == n for i in range(k)):
-                    residues = self.quotient.residues
-                    solutions.append(frozenset(residues[a] for a in range(n)
-                                               if status[a] == _IN))
-                    if mode == "first":
-                        break
-                else:
-                    target = counts[0].index(0)
-                    frames.append((self.providers[0][target], 0, None, 0))
-            expand = False
-            if not frames:
-                break
-            branches, pos, a, mark = frames[-1]
-            if a is not None:
-                # the current branch of this frame has failed
-                undo(mark)
-                if not set_out(a):
-                    undo(mark)
-                    frames.pop()
-                    continue
-            while pos < len(branches) and status[branches[pos]] != _UNKNOWN:
-                pos += 1
-            if pos == len(branches):
-                frames.pop()
-                continue
-            a = branches[pos]
-            frames[-1] = (branches, pos + 1, a, len(trail))
-            expand = set_in(a)
-        return solutions
-
-
 def solve_quotient(tiles, lat, mode="all"):
     """All (or the first) L-periodic joint co-tiles of the tuple.
 
-    The backtracking branches on the least residue left uncovered by tile 1
-    and propagates exact-coverage counters for every tile, so the "all" mode
-    is complete.  Infeasible projections return an empty list.
+    An exact cover of Z^d / L over big-int masks.  With n the index, bit
+    i*n + y of the mask of placement a is set when tile i covers residue
+    number y from a, so one int holds the coverage of every tile and a
+    placement is legal when its mask misses the covered bits.  A state, the
+    covered bits and the placements chosen, is never changed in place; states
+    wait on an explicit stack, so depth is not bounded by the recursion
+    limit.  Each state branches on the least residue the first tile leaves
+    uncovered and tries the placements covering it in the order of that
+    tile's points.  The "all" mode is complete, and its solutions come
+    sorted.  Infeasible projections return an empty list.
     """
     if mode not in ("all", "first"):
         raise InputContractError("mode must be 'all' or 'first'")
     problem = SearchProblem.build(tiles, lat)
     if not problem.feasible:
         return []
-    raw = _CoverSearch(problem).run(mode)
-    sets = [PeriodicSet(lat, members) for members in raw]
+    quotient = lat.quotient()
+    n = len(quotient)
+    bits = [1 << y for y in range(n * len(problem.projected))]
+    masks = [0] * n
+    providers = [[] for _ in range(n)]  # placements covering y for the first tile
+    for i, res in enumerate(problem.projected):
+        row = bits[i * n:(i + 1) * n]
+        for f in res:
+            table = quotient.translation(f, keep=False)
+            masks = [m | row[y] for m, y in zip(masks, table)]
+            if i == 0:
+                for a, y in enumerate(table):
+                    providers[y].append(a)
+    full = (1 << len(bits)) - 1
+    residues = quotient.residues
+    sets = []
+    stack = [(0, ())]
+    while stack:
+        covered, chosen = stack.pop()
+        y = (~covered & (covered + 1)).bit_length() - 1
+        if y >= n:  # the first tile is covered
+            if covered == full:
+                sets.append(PeriodicSet(lat, frozenset(residues[a] for a in chosen)))
+                if mode == "first":
+                    break
+            continue
+        for a in reversed(providers[y]):
+            if not masks[a] & covered:
+                stack.append((covered | masks[a], chosen + (a,)))
     sets.sort(key=lambda a: a.sorted_members)
     return sets
 
@@ -279,13 +200,16 @@ def search_periodic_cotile(tiles, max_index, mode="all"):
     d = tiles.dim
     size = tiles[0].size
     results = {}
+    shared = {}  # equal residues and member sets of the kept sets stored once
     for n in range(size, max_index + 1, size):
         for lat in enumerate_sublattices(d, n):
             for aset in solve_quotient(tiles, lat, mode=mode):
                 canonical = aset.on_stabilizer()
                 key = (canonical.lattice.basis, canonical.sorted_members)
                 if key not in results:
-                    results[key] = (canonical.lattice, canonical)
+                    members = frozenset(shared.setdefault(m, m) for m in canonical.members)
+                    members = shared.setdefault(members, members)
+                    results[key] = (canonical.lattice, PeriodicSet(canonical.lattice, members))
                     if mode == "first":
                         return [results[key]]
     out = list(results.values())
@@ -537,9 +461,9 @@ def periodic_point_from_constraints(constraints, gamma0, ambient):
     lo, hi = min(offsets), max(offsets)
     window = hi - lo + 1
 
-    alphabet = tuple(itertools.product((0, 1), repeat=m))
-    if len(alphabet) ** max(window, 1) > 1 << 22:
+    if m * max(window, 1) > 22:  # more than 2^22 windows of 2^m letters each
         raise InputContractError("block graph too large for this fixture scale")
+    alphabet = tuple(itertools.product((0, 1), repeat=m))
 
     def legal(word):
         for items, t in compiled:

@@ -2,7 +2,10 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -12,6 +15,8 @@ from tilekit.errors import InternalError
 from tilekit.lattice import Lattice, PeriodicSet
 from tilekit.tiles import Tile, TileTuple
 from conftest import FIXTURES
+
+ROOT = FIXTURES.parent
 
 
 def run(capsys, *argv):
@@ -314,6 +319,22 @@ def test_verify_level_checks_every_tile_of_a_tuple(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["ok"] is False and doc["failing_tile"] == 1
     assert doc["defects"] == [{"residue": [0], "value": "2"}, {"residue": [1], "value": "0"}]
+
+
+def test_verify_unequal_sizes_prints_a_plain_note(tmp_path):
+    # in a process of its own, so that Python's default warning display,
+    # not pytest's capture, would show a raw UserWarning
+    tiles, cotile = tmp_path / "tiles.json", tmp_path / "cotile.json"
+    jsonio.dump(TileTuple.make([Tile.make(1, [(0,), (1,)]), Tile.make(1, [(0,)])]), tiles)
+    jsonio.dump(PeriodicSet.make(Lattice.diagonal([2]), [(0,)]), cotile)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-m", "tilekit.cli", "verify",
+                          "--tiles", str(tiles), "--cotile", str(cotile)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 3
+    assert "UserWarning" not in run.stderr
+    assert run.stderr == ("tilekit: note: tiles have unequal sizes, "
+                          "so no joint co-tile can exist\n")
 
 
 def test_verify_level_on_a_tuple_that_holds_and_on_one_tile(capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from tilekit.analysis import RationalSubspace, has_property_star, is_independent_tuple, vw_dimension
@@ -93,6 +95,20 @@ def test_brother_tiles_box():
     assert verify.is_joint_cotile(full, aset).ok
     assert is_independent_tuple(full)
     assert has_property_star(TileTuple.make(list(brothers)[:1] + [f]))
+
+
+def test_brother_tiles_cube_companions_pinned():
+    # the 7 star vectors twice: the postcondition check over subsets up to
+    # size d - dim W gives the companions of the check over all 2^14 subsets
+    cube = Tile.make(3, list(itertools.product((0, 1), repeat=3)))
+    aset = PeriodicSet.make(Lattice.diagonal([4, 2, 2]), [(0, 0, 0), (2, 0, 0)])
+    brothers = brother_tiles(cube, aset)
+    assert [sorted(b.points) for b in brothers] == [
+        [(-2, -2, -1), (-2, -1, -2), (-2, 1, 1), (-1, -2, 1), (-1, 0, 2), (-1, 1, 0),
+         (0, 0, 0), (3, 1, -1)],
+        [(-4, 5, -3), (-3, -5, -6), (-3, 2, 5), (-2, 4, -3), (-1, -3, 5), (0, 0, 0),
+         (0, 3, -2), (5, -2, 4)],
+    ]
 
 
 def test_brother_tiles_deterministic():

@@ -1,5 +1,8 @@
 import itertools
+import json
 import random
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -131,6 +134,25 @@ def test_solve_quotient_depth_beyond_recursion_limit():
     sols = solve_quotient(tiles, Lattice.diagonal([1200]))
     assert len(sols) == 1
     assert len(sols[0].members) == 1200
+
+
+FIRST_MODE_PINS = Path(__file__).resolve().parent / "first_mode_pins.json"
+
+
+def test_first_mode_returns_pinned_members():
+    # The first solution of every case, recorded from the counter-and-trail
+    # search that the bitmask engine replaced: the instances above, the box
+    # pair on every productive sublattice of index 8 and 12, and every tile of
+    # Z with diameter at most 7 at its least period.  null pins no solution.
+    cases = json.loads(FIRST_MODE_PINS.read_text())
+    assert len(cases) == 170
+    for case in cases:
+        dim = len(case["lattice"])
+        tiles = TileTuple.make([Tile.make(dim, [tuple(p) for p in t]) for t in case["tiles"]])
+        lat = hnf(dim, case["lattice"])
+        found = solve_quotient(tiles, lat, mode="first")
+        got = [list(m) for m in found[0].sorted_members] if found else None
+        assert got == case["members"], case
 
 
 def test_search_periodic_cotile_box_pair():
@@ -290,6 +312,17 @@ def test_lift_contract_checks():
     bad = PeriodicSet.make(Lattice.diagonal([2, 1]), [(0, 0), (1, 0)])
     with pytest.raises(NotACotileError):
         lift_to_full_period(tiles, hnf(2, [(0, 1)]), bad)
+
+
+def test_lift_refuses_large_block_graph_before_building_it():
+    # gamma0 = Z(0, 40) gives a 40-residue domain: 2^40 letters, refused
+    # by the size test before any letter is built
+    tiles = TileTuple.make([Tile.make(2, [(0, 0), (1, 0)])])
+    striped = PeriodicSet.make(Lattice.diagonal([2, 1]), [(0, 0)])
+    start = time.perf_counter()
+    with pytest.raises(InputContractError, match="block graph too large"):
+        lift_to_full_period(tiles, hnf(2, [(0, 40)]), striped)
+    assert time.perf_counter() - start < 1.0
 
 
 def _domino_setup():
