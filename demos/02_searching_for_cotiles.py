@@ -33,7 +33,7 @@ for s in sols:
 oracle = brute_force_quotient(pair, lat)
 print("matches subset enumeration:", [s.members for s in sols] == [s.members for s in oracle])
 
-# sweeping all candidate lattices up to index 4 and deduplicating by stabilizer
+# sweeping all candidate lattices up to index 4, keeping each co-tile on its stabilizer
 found = search_periodic_cotile(pair, 4)
 print(f"\ndistinct periodic joint co-tiles with index <= 4: {len(found)}")
 for stab, aset in found[:4]:

@@ -46,8 +46,9 @@ print("\npiecewise result:", list(merged.sorted_members), "on",
       [list(c) for c in merged.lattice.basis])
 print("verified:", bool(is_joint_cotile(domino, merged)))
 
-# With both pieces declared inside the same vertical hyperplane the pipeline
-# first merges them, then lifts the union.
+# With both pieces declared inside the same vertical line the declared
+# stabilizers meet in rank 1, so the pipeline lifts the union directly; it
+# merges only pieces whose declared stabilizers meet in a smaller rank.
 same_side = [hnf(2, [(0, 2)]), hnf(2, [(0, 2)])]
 merged2 = piecewise_to_periodic(domino, [piece_a, piece_b],
                                 declared_stabilizers=same_side)

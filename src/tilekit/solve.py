@@ -22,7 +22,6 @@ from .errors import (
     RankDeficientError,
 )
 from .lattice import (
-    INFINITE,
     Lattice,
     PeriodicSet,
     _integer_kernel,
@@ -188,10 +187,14 @@ def brute_force_quotient(tiles, lat):
 def search_periodic_cotile(tiles, max_index, mode="all"):
     """Periodic joint co-tiles with stabilizer index up to max_index.
 
-    Iterates candidate lattices whose index is a multiple of |F_1|, solves each
-    quotient, and deduplicates solutions that are equal as subsets of Z^d by
-    re-presenting each on its full stabilizer.  Returns (stabilizer, set) pairs;
-    the "first" mode stops at the first lattice with a solution.
+    Iterates candidate lattices whose index is a multiple of |F_1| and solves
+    each quotient.  A solution is kept exactly when its stabilizer is the
+    lattice it was solved on.  The stabilizer S of a co-tile A contains that
+    lattice, and its index is |F_1| times the number of members of A modulo
+    S, so a co-tile whose stabilizer is larger was already found on S, at a
+    smaller index; each co-tile is thus kept once, on its stabilizer.  In the "first"
+    mode the first solution is on its stabilizer for the same reason, and the
+    sweep stops there.  Returns (stabilizer, set) pairs.
     """
     if mode not in ("all", "first"):
         raise InputContractError("mode must be 'all' or 'first'")
@@ -199,20 +202,18 @@ def search_periodic_cotile(tiles, max_index, mode="all"):
         raise InputContractError("max_index must be positive")
     d = tiles.dim
     size = tiles[0].size
-    results = {}
+    out = []
     shared = {}  # equal residues and member sets of the kept sets stored once
     for n in range(size, max_index + 1, size):
         for lat in enumerate_sublattices(d, n):
             for aset in solve_quotient(tiles, lat, mode=mode):
-                canonical = aset.on_stabilizer()
-                key = (canonical.lattice.basis, canonical.sorted_members)
-                if key not in results:
-                    members = frozenset(shared.setdefault(m, m) for m in canonical.members)
-                    members = shared.setdefault(members, members)
-                    results[key] = (canonical.lattice, PeriodicSet(canonical.lattice, members))
-                    if mode == "first":
-                        return [results[key]]
-    out = list(results.values())
+                if stabilizer(aset) != lat:
+                    continue
+                members = frozenset(shared.setdefault(m, m) for m in aset.members)
+                members = shared.setdefault(members, members)
+                out.append((lat, PeriodicSet(lat, members)))
+                if mode == "first":
+                    return out
     out.sort(key=lambda pair: (pair[0].index(), pair[0].basis, pair[1].sorted_members))
     return out
 
@@ -436,9 +437,8 @@ def periodic_point_from_constraints(constraints, gamma0, ambient):
     """
     dim = gamma0.dim
     for tile, target in constraints:
-        for g in gamma0.basis:
-            if not target.stabilizer().contains(g):
-                raise InputContractError("invariance lattice does not fix a constraint target")
+        if not target.stabilizer().contains_lattice(gamma0):
+            raise InputContractError("invariance lattice does not fix a constraint target")
     # the transversal: the first point of `ambient` off span(gamma0)
     v = avoid_subspaces(ambient, [RationalSubspace.from_vectors(dim, gamma0.basis)])
     rec = _Recoder(gamma0, v)
@@ -525,22 +525,10 @@ def _rank_d_minus_1_sublattice(lat, d):
     return hnf(lat.dim, lat.basis[:d - 1])
 
 
-def piecewise_to_periodic(tiles, pieces, declared_stabilizers=None):
-    """Turn a union of almost-periodic pieces that jointly co-tile into a fully
-    periodic joint co-tile.
-
-    declared_stabilizers optionally limits the periodicity knowledge the
-    pipeline may use (each must be a rank-(d-1)-or-more sublattice of the true
-    stabilizer of its piece); by default the full stabilizers are used.  The
-    pipeline follows the merge/convolve/re-solve route: merge pieces whose
-    stabilizer sum has infinite index, check each convolution 1_F * piece is
-    fully periodic, replace each piece by a fully periodic function with the
-    same convolutions via the block-graph machinery, and return the verified
-    sum.
-    """
-    d = tiles.dim
-    if not pieces:
-        raise InputContractError("need at least one piece")
+def _disjoint_pieces(pieces):
+    """(common, refined, union): the intersection of the piece lattices, the
+    pieces refined to it and the union of their members; raises
+    NotAPartitionError when two pieces overlap."""
     common = pieces[0].lattice
     for piece in pieces[1:]:
         common = common.intersect(piece.lattice)
@@ -548,9 +536,31 @@ def piecewise_to_periodic(tiles, pieces, declared_stabilizers=None):
     seen = set()
     for p in refined:
         if seen & p.members:
-            raise InputContractError("pieces are not pairwise disjoint")
+            raise NotAPartitionError("pieces overlap")
         seen |= p.members
-    union = PeriodicSet(common, frozenset(seen))
+    return common, refined, frozenset(seen)
+
+
+def piecewise_to_periodic(tiles, pieces, declared_stabilizers=None):
+    """Turn a union of almost-periodic pieces that jointly co-tile into a fully
+    periodic joint co-tile.
+
+    declared_stabilizers optionally limits the periodicity knowledge the
+    pipeline may use (each must be a rank-(d-1)-or-more sublattice of the true
+    stabilizer of its piece); by default the full stabilizers are used.  When
+    the declared stabilizers meet in rank d-1 or more, the union is lifted
+    directly.  Otherwise pieces whose declared stabilizers span one hyperplane
+    are merged, in the order of their first piece, onto the intersection of
+    those stabilizers: two such stabilizers have a sum of infinite index
+    exactly when they do.  Each group on a rank-(d-1) lattice is replaced by a
+    fully periodic set with the same convolutions 1_F * group via the
+    block-graph machinery, and the verified sum is returned.
+    """
+    d = tiles.dim
+    if not pieces:
+        raise InputContractError("need at least one piece")
+    common, refined, members = _disjoint_pieces(pieces)
+    union = PeriodicSet(common, members)
     rep = verify.is_joint_cotile(tiles, union)
     if not rep:
         raise NotACotileError(_failure(rep))
@@ -576,46 +586,27 @@ def piecewise_to_periodic(tiles, pieces, declared_stabilizers=None):
             return union.on_stabilizer()
         return lift_to_full_period(tiles, _rank_d_minus_1_sublattice(meet, d), union)
 
-    # merge pieces whose declared stabilizer sum is not of finite index
-    groups = [(piece, stab) for piece, stab in zip(refined, stabs)]
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                if groups[i][1].sum(groups[j][1]).index() is INFINITE:
-                    pi, si = groups[i]
-                    pj, sj = groups[j]
-                    union_members = pi.members | pj.members
-                    stab_new = si.intersect(sj)
-                    if stab_new.rank < d - 1:
-                        raise InternalError(
-                            "merged stabilizer lost rank; cannot happen for "
-                            "rank-(d-1) subgroups with an infinite-index sum")
-                    groups[i] = (PeriodicSet(common, union_members), stab_new)
-                    del groups[j]
-                    merged = True
-                    break
-            if merged:
-                break
+    # group by the hyperplane a rank-(d-1) stabilizer spans; a rank-d one
+    # keeps its own group
+    groups = {}
+    for i, (piece, stab) in enumerate(zip(refined, stabs)):
+        key = RationalSubspace.from_vectors(d, stab.basis) if stab.rank < d else i
+        if key in groups:
+            members, lat = groups[key]
+            groups[key] = (members | piece.members, lat.intersect(stab))
+        else:
+            groups[key] = (piece.members, stab)
 
-    # each convolution 1_F * piece must already be fully periodic
     replacements = []
-    for piece, declared in groups:
-        conv_targets = []
-        lam = None
-        for tile in tiles:
-            conv = convolve(tile, indicator(piece))
-            conv_stab = conv.stabilizer()
-            if conv_stab.index() is INFINITE:
-                raise InputContractError(
-                    "a tile-piece convolution is not fully periodic; "
-                    "the pieces do not satisfy the contract")
-            conv_targets.append((tile, conv))
-            lam = conv_stab if lam is None else lam.intersect(conv_stab)
+    for members, declared in groups.values():
+        piece = indicator(PeriodicSet(common, members))
         if declared.rank == d:
-            replacements.append(indicator(piece))
+            replacements.append(piece)
             continue
+        conv_targets = [(tile, convolve(tile, piece)) for tile in tiles]
+        lam = conv_targets[0][1].stabilizer()
+        for _, conv in conv_targets[1:]:
+            lam = lam.intersect(conv.stabilizer())
         gamma0 = _rank_d_minus_1_sublattice(declared, d)
         solved = periodic_point_from_constraints(conv_targets, gamma0, lam)
         for tile, conv in conv_targets:
@@ -647,34 +638,19 @@ class AllDPeriodic:
 
 
 def common_stabilizer(pieces):
-    """For a partition of Z^d into pieces with stabilizer rank >= d-1, either
-    report that all pieces are fully periodic or return a common rank-(d-1)
-    stabilizer.
+    """The verdict on a partition of Z^d into periodic pieces: always
+    AllDPeriodic.
 
-    Finitely presented pieces always have full-rank stabilizers, so the
-    second branch is a contract guard rather than a reachable outcome; the
-    verdict carries the intersection of the stabilizers, which stabilizes
-    every piece.
+    A piece presented on a full-rank lattice is stabilized by that lattice,
+    so every stabilizer has full rank; the verdict carries the intersection
+    of the stabilizers, which stabilizes every piece.
     """
     if not pieces:
         raise NotAPartitionError("empty piece list")
-    common = pieces[0].lattice
-    for piece in pieces[1:]:
-        common = common.intersect(piece.lattice)
-    refined = [p.refine(common) for p in pieces]
-    seen = set()
-    for p in refined:
-        if seen & p.members:
-            raise NotAPartitionError("pieces overlap")
-        seen |= p.members
-    if len(seen) != common.index():
+    common, refined, members = _disjoint_pieces(pieces)
+    if len(members) != common.index():
         raise NotAPartitionError("pieces do not cover Z^d")
-    stabs = [stabilizer(p) for p in refined]
-    meet = stabs[0]
-    for s in stabs[1:]:
-        meet = meet.intersect(s)
-    if all(s.rank == pieces[0].dim for s in stabs):
-        return AllDPeriodic(meet)
-    if meet.rank < pieces[0].dim - 1:
-        raise InternalError("stabilizer intersection lost rank; cannot happen")
-    return meet
+    meet = stabilizer(refined[0])
+    for p in refined[1:]:
+        meet = meet.intersect(stabilizer(p))
+    return AllDPeriodic(meet)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InputContractError
-from .tiles import as_weighted, convolve_ints
+from .tiles import as_weighted, convolve_ints, indicator
 
 DEFECT_CAP = 32
 
@@ -36,10 +36,7 @@ def is_tiling(tile, aset):
     """Whether F + A = Z^d with unique representations: 1_F * 1_A must be 1."""
     if tile.dim != aset.dim:
         raise InputContractError("tile and set have different dimensions")
-    quotient = aset.lattice.quotient()
-    members = aset.members
-    member = [int(r in members) for r in quotient.residues]
-    return _report(quotient, convolve_ints(as_weighted(tile), quotient, member), 1, 1)
+    return is_level_tiling(tile, indicator(aset), 1)
 
 
 @dataclass(frozen=True)

@@ -348,6 +348,22 @@ def test_piecewise_merging_route():
     assert stabilizer(out).rank == 2
 
 
+@pytest.mark.parametrize("order, members", [
+    ("VVH", ((0, 5), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4))),
+    ("VHV", ((0, 4), (1, 0), (1, 1), (1, 2), (1, 3), (1, 5))),
+])
+def test_piecewise_merges_pieces_declared_on_one_hyperplane(order, members):
+    # three rows of 2Z x Z on diag(2, 3); the declared stabilizers meet in {0},
+    # so the pieces declared vertical are merged and each group re-solved
+    tiles = TileTuple.make([Tile.make(2, [(0, 0), (1, 0)])])
+    pieces = [PeriodicSet.make(Lattice.diagonal([2, 3]), [(0, k)]) for k in range(3)]
+    lattice = {"V": hnf(2, [(0, 3)]), "H": hnf(2, [(2, 0)])}
+    out = piecewise_to_periodic(tiles, pieces,
+                                declared_stabilizers=[lattice[c] for c in order])
+    assert out.lattice.basis == ((2, 0), (0, 6))
+    assert out.sorted_members == members
+
+
 def test_piecewise_default_route_returns_canonical_union():
     tiles, a1, a2 = _domino_setup()
     out = piecewise_to_periodic(tiles, [a1, a2])
