@@ -3,10 +3,10 @@
 A joint co-tile invariant under a rank-(d-1) subgroup recodes, along a
 transversal direction, into a one-dimensional sequence over the alphabet of
 patterns on a fundamental domain.  The tiling equations become window
-constraints, legal windows form a block graph, and any cycle in that graph
-decodes to a fully periodic joint co-tile.  The same machinery upgrades a
-disjoint union of almost-periodic pieces to a fully periodic solution piece
-by piece.
+constraints, legal windows form a block graph, walked lazily from its first
+node until a cycle closes, and that cycle decodes to a fully periodic joint
+co-tile.  The same machinery upgrades a disjoint union of almost-periodic
+pieces to a fully periodic solution piece by piece.
 """
 
 from tilekit import (
@@ -47,14 +47,24 @@ print("\npiecewise result:", list(merged.sorted_members), "on",
 print("verified:", bool(is_joint_cotile(domino, merged)))
 
 # With both pieces declared inside the same vertical line the declared
-# stabilizers meet in rank 1, so the pipeline lifts the union directly; it
-# merges only pieces whose declared stabilizers meet in a smaller rank.
+# stabilizers meet in rank 1, so the pipeline lifts the union directly.
 same_side = [hnf(2, [(0, 2)]), hnf(2, [(0, 2)])]
-merged2 = piecewise_to_periodic(domino, [piece_a, piece_b],
+lifted2 = piecewise_to_periodic(domino, [piece_a, piece_b],
                                 declared_stabilizers=same_side)
-print("\nafter merging route:", list(merged2.sorted_members), "on",
-      [list(c) for c in merged2.lattice.basis])
-print("verified:", bool(is_joint_cotile(domino, merged2)))
+print("\nsame declared line, union lifted:", list(lifted2.sorted_members), "on",
+      [list(c) for c in lifted2.lattice.basis])
+print("verified:", bool(is_joint_cotile(domino, lifted2)))
+
+# Merging needs declared stabilizers that meet in a smaller rank.  Three rows
+# of the even columns, two declared vertical and one horizontal, meet in {0}:
+# the two vertical pieces span one line, so they are merged onto the
+# intersection of their stabilizers and re-solved as one group.
+rows = [PeriodicSet.make(Lattice.diagonal([2, 3]), [(0, k)]) for k in range(3)]
+mixed = [hnf(2, [(0, 3)]), hnf(2, [(0, 3)]), hnf(2, [(2, 0)])]
+merged3 = piecewise_to_periodic(domino, rows, declared_stabilizers=mixed)
+print("\nafter merging route:", list(merged3.sorted_members), "on",
+      [list(c) for c in merged3.lattice.basis])
+print("verified:", bool(is_joint_cotile(domino, merged3)))
 
 # Full knowledge short-circuits: the union is already periodic.
 direct = piecewise_to_periodic(domino, [piece_a, piece_b])

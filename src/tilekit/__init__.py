@@ -44,7 +44,6 @@ from .analysis import (
 from .verify import JointReport, TilingReport, is_joint_cotile, is_level_tiling, is_tiling, mean
 from .solve import (
     AllDPeriodic,
-    BlockGraph,
     SearchProblem,
     ZTilingResult,
     brute_force_quotient,

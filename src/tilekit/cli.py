@@ -95,45 +95,45 @@ def _translate_of(x, tile, aset):
     return None
 
 
+def _grid(tile, aset, window):
+    """The translate covering each cell of the window, row by row from the
+    top (one row in dimension 1), None for an uncovered cell; None for
+    dimensions other than 1 and 2."""
+    if tile.dim not in (1, 2):
+        return None
+    span = range(-window, window + 1)
+    if tile.dim == 1:
+        return [[_translate_of((x,), tile, aset) for x in span]]
+    return [[_translate_of((x, y), tile, aset) for x in span] for y in reversed(span)]
+
+
 def _render_ascii(tile, aset, window):
+    grid = _grid(tile, aset, window)
+    if grid is None:
+        return ["(rendering supports dimensions 1 and 2 only)"]
     labels = {}
 
     def glyph(a):
+        if a is None:
+            return "?"
         if a not in labels:
             labels[a] = _GLYPHS[len(labels) % len(_GLYPHS)]
         return labels[a]
 
-    if tile.dim == 1:
-        row = []
-        for x in range(-window, window + 1):
-            a = _translate_of((x,), tile, aset)
-            row.append(glyph(a) if a is not None else "?")
-        return ["".join(row)]
-    if tile.dim == 2:
-        lines = []
-        for y in range(window, -window - 1, -1):
-            row = []
-            for x in range(-window, window + 1):
-                a = _translate_of((x, y), tile, aset)
-                row.append(glyph(a) if a is not None else "?")
-            lines.append("".join(row))
-        return lines
-    return ["(rendering supports dimensions 1 and 2 only)"]
+    return ["".join(glyph(a) for a in row) for row in grid]
 
 
 def _render_svg(tile, aset, window):
-    if tile.dim not in (1, 2):
+    grid = _grid(tile, aset, window)
+    if grid is None:
         return "<svg><!-- rendering supports dimensions 1 and 2 only --></svg>"
     cell = 14
     span = 2 * window + 1
     height = cell if tile.dim == 1 else span * cell
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{span * cell}" height="{height}">']
-    for y in range(span if tile.dim == 2 else 1):
-        for x in range(span):
-            point = (x - window,) if tile.dim == 1 else (x - window, window - y)
-            a = _translate_of(point, tile, aset)
-            hue = (hash(a) % 360) if a is not None else 0
-            fill = f"hsl({hue},65%,70%)" if a is not None else "#fff"
+    for y, row in enumerate(grid):
+        for x, a in enumerate(row):
+            fill = f"hsl({hash(a) % 360},65%,70%)" if a is not None else "#fff"
             parts.append(f'<rect x="{x * cell}" y="{y * cell}" width="{cell}" '
                          f'height="{cell}" fill="{fill}" stroke="#333"/>')
     parts.append("</svg>")

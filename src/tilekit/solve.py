@@ -4,8 +4,8 @@ Covers four layers of machinery: exact cover of a finite quotient by the
 projected tiles (depth-first search over big-int coverage masks), enumeration
 of candidate period lattices, the one-dimensional decision procedure (Newman's
 forced-placement automaton), and the recoding of translation-invariant constraint
-systems into one-dimensional block graphs whose cycles decode to fully
-periodic solutions.
+systems into one-dimensional block graphs, walked lazily until a cycle closes;
+a cycle decodes to a fully periodic solution.
 """
 
 from __future__ import annotations
@@ -323,76 +323,45 @@ def independent_cotile_index_bound(tiles):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockGraph:
-    """De Bruijn style graph of legal windows of a one-dimensional constraint
-    system: nodes are (window-1)-words, edges legal windows; every cycle
-    spells a periodic sequence satisfying all constraints."""
+def _cycle_letters(m, window, legal):
+    """Letters spelled along a cycle of the block graph of a one-dimensional
+    window-constraint system, or None when the graph has no cycle.
 
-    alphabet: tuple
-    window: int
-    nodes: tuple
-    edges: dict  # node -> tuple of successor nodes
+    Letters are the {0,1} patterns on m cells, in itertools.product order;
+    legal(word) decides a window-length word.  Nodes are (window-1)-words and
+    each legal window is an edge from its prefix to its suffix, so every cycle
+    spells a periodic sequence satisfying all constraints.  The graph is
+    walked lazily: depth first from each node in lexicographic order, finding
+    a node's successors only when the walk reaches it.
+    """
+    alphabet = tuple(itertools.product((0, 1), repeat=m))
+    if window <= 1:
+        return next(((a,) for a in alphabet if legal((a,))), None)
 
-    @staticmethod
-    def build(alphabet, window, legal):
-        """legal(word) decides admissibility of a window-length tuple of letters."""
-        alphabet = tuple(sorted(alphabet))
-        if window <= 1:
-            loops = tuple(a for a in alphabet if legal((a,)))
-            return BlockGraph(alphabet, window, ((),), {(): loops})
-        nodes = set()
-        edges = {}
-        for word in itertools.product(alphabet, repeat=window):
-            if legal(word):
-                a, b = word[:-1], word[1:]
-                nodes.add(a)
-                nodes.add(b)
-                edges.setdefault(a, []).append(b)
-        node_list = tuple(sorted(nodes))
-        return BlockGraph(alphabet, window,
-                          node_list,
-                          {n: tuple(sorted(edges.get(n, ()))) for n in node_list})
+    def successors(node):
+        return (node[1:] + (a,) for a in alphabet if legal(node + (a,)))
 
-    def find_cycle(self):
-        """Deterministic search for a cycle; returns the node sequence or None."""
-        if self.window <= 1:
-            loops = self.edges.get((), ())
-            return [((), loops[0])] if loops else None
-        color = {}
-        for start in self.nodes:
-            if color.get(start):
-                continue
-            stack = [(start, iter(self.edges.get(start, ())))]
-            on_path = [start]
-            color[start] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if color.get(nxt) == 1:
-                        idx = on_path.index(nxt)
-                        return on_path[idx:]
-                    if color.get(nxt) != 2:
-                        color[nxt] = 1
-                        on_path.append(nxt)
-                        stack.append((nxt, iter(self.edges.get(nxt, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    on_path.pop()
-                    stack.pop()
-        return None
-
-    def cycle_letters(self):
-        """Letters spelled along some cycle, or None if the graph is empty."""
-        cycle = self.find_cycle()
-        if cycle is None:
-            return None
-        if self.window <= 1:
-            return (cycle[0][1],)
-        return tuple(node[0] for node in cycle)
+    color = {}  # 1 while on the current path, 2 once fully explored
+    for start in itertools.product(alphabet, repeat=window - 1):
+        if start in color:
+            continue
+        color[start] = 1
+        on_path = [start]
+        stack = [successors(start)]
+        while stack:
+            for nxt in stack[-1]:
+                state = color.get(nxt)
+                if state == 1:
+                    return tuple(node[0] for node in on_path[on_path.index(nxt):])
+                if state is None:
+                    color[nxt] = 1
+                    on_path.append(nxt)
+                    stack.append(successors(nxt))
+                    break
+            else:
+                color[on_path.pop()] = 2
+                stack.pop()
+    return None
 
 
 class _Recoder:
@@ -408,8 +377,9 @@ class _Recoder:
         self.full = hnf(dim, gamma0.basis + (tuple(v),))
         if not self.full.is_full_rank:
             raise InternalError("transversal vector does not complete the rank")
-        self.domain = self.full.quotient().residues
-        self.domain_index = {u: i for i, u in enumerate(self.domain)}
+        quotient = self.full.quotient()
+        self.domain = quotient.residues
+        self.index_of = quotient.index_of
         (self.normal,) = _integer_kernel(gamma0.basis, dim)
         self.height = sum(a * b for a, b in zip(self.normal, v))
 
@@ -433,7 +403,9 @@ def periodic_point_from_constraints(constraints, gamma0, ambient):
 
     Recodes along a transversal direction v in `ambient` into a block graph
     over the alphabet of {0,1} patterns on the fundamental domain of
-    gamma0 + Zv; any cycle decodes to a (gamma0 + Z p v)-invariant solution.
+    gamma0 + Zv.  The graph is walked lazily, deciding a window only when the
+    walk reaches its first node, and the first cycle it closes decodes to a
+    (gamma0 + Z p v)-invariant solution.
     """
     dim = gamma0.dim
     for tile, target in constraints:
@@ -452,7 +424,7 @@ def periodic_point_from_constraints(constraints, gamma0, ambient):
             items = []
             for f in tile.sorted_points:
                 n_off, u_prime = rec.split(vsub(u, f))
-                items.append((n_off, rec.domain_index[u_prime]))
+                items.append((n_off, rec.index_of[u_prime]))
                 offsets.append(n_off)
             t = target(u)
             if t.denominator != 1:
@@ -463,7 +435,6 @@ def periodic_point_from_constraints(constraints, gamma0, ambient):
 
     if m * max(window, 1) > 22:  # more than 2^22 windows of 2^m letters each
         raise InputContractError("block graph too large for this fixture scale")
-    alphabet = tuple(itertools.product((0, 1), repeat=m))
 
     def legal(word):
         for items, t in compiled:
@@ -471,8 +442,7 @@ def periodic_point_from_constraints(constraints, gamma0, ambient):
                 return False
         return True
 
-    graph = BlockGraph.build(alphabet, window, legal)
-    letters = graph.cycle_letters()
+    letters = _cycle_letters(m, window, legal)
     if letters is None:
         raise NoCycleError("constraint system admits no periodic sequence; "
                            "the input contract must have been violated")
@@ -481,7 +451,7 @@ def periodic_point_from_constraints(constraints, gamma0, ambient):
     members = set()
     for r in out_lattice.quotient():
         n, u = rec.split(r)
-        if letters[n % p][rec.domain_index[u]]:
+        if letters[n % p][rec.index_of[u]]:
             members.add(r)
     return PeriodicSet(out_lattice, frozenset(members))
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tilekit import cli, jsonio
@@ -212,6 +214,48 @@ def test_render_svg(capsys):
                        "--render", "svg", "--window", "2")
     assert code == 0
     assert "<svg" in out
+
+
+# stdout sha256 of --render on 1-D, 2-D and 3-D inputs; {tile} and {cotile}
+# name the 1-D tile {0, 2} and its co-tile {0, 1} + 4Z
+RENDER_PINS = {
+    "verify --tiles {tile} --cotile {cotile} --render ascii --window 6":
+        "4ce5d1e3be515fb64b8637fd5c6037cb540a6e8cd8026a17b229738ea1a9a891",
+    "verify --tiles {tile} --cotile {cotile} --render svg --window 3":
+        "5638d86c1b81d7db7e4c89021ae5899de8b87030fe0d3303d7c17470c3adf5e3",
+    "solve --tiles {tile} --max-index 4 --render ascii --window 6":
+        "4b7eb92d02ccb069f59061e39a760fee7e89cab87e8bd85902a47db1c607e80e",
+    "verify --tiles fixtures/domino_z2_tile.json --cotile fixtures/domino_z2_cotile.json "
+    "--render ascii --window 3":
+        "92e5ad583b7ec83279e3a1e9dd9220e73e91f70c3c44cd3fae36a6b941869f2f",
+    "verify --tiles fixtures/domino_z2_tile.json --cotile fixtures/domino_z2_cotile.json "
+    "--render svg --window 2":
+        "6b47bcd2ab4845ce09c04ea4409cd599b88f09ae99495e9282e23e1c7045ff39",
+    "verify --tiles fixtures/line_triple_z2_tiles.json "
+    "--cotile fixtures/line_triple_z2_cotile.json --render ascii --window 3":
+        "47566a1057b29b3d83014a3e37f5bc12b825bf11107dd778362f2b34dcc4d047",
+    "solve --tiles fixtures/domino_z2_tile.json --max-index 2 --render ascii --window 3":
+        "1d6edbc9368fcb78f57898c81e984bb13aafb789c0f252bf707fdd616ec75d45",
+    "verify --tiles fixtures/box_pair_z3_tiles.json --cotile fixtures/box_pair_z3_cotile.json "
+    "--render ascii --window 2":
+        "bec061575eed04eb996c65defbb6c79155ebfc4f0c3963bde5830fcf602dac83",
+    "verify --tiles fixtures/box_pair_z3_tiles.json --cotile fixtures/box_pair_z3_cotile.json "
+    "--render svg --window 2":
+        "0a14a18ac6fd2c07f5eeacdfa11d409abef24e90bb84ceb64595cb15b302e526",
+    "solve --tiles fixtures/box_pair_z3_tiles.json --max-index 4 --render ascii --window 2":
+        "1c71cfe2b0c1a30cfd74e47495db44fd4c7d7cf9a9d362714e35d65c274d7ad9",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RENDER_PINS))
+def test_render_prints_pinned_bytes(command, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    tile, cotile = tmp_path / "tile_z.json", tmp_path / "cotile_z.json"
+    jsonio.dump(Tile.make(1, [(0,), (2,)]), tile)
+    jsonio.dump(PeriodicSet.make(Lattice.diagonal([4]), [(0,), (1,)]), cotile)
+    code, out, _ = run(capsys, *command.format(tile=tile, cotile=cotile).split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RENDER_PINS[command]
 
 
 def test_malformed_json_is_usage_error(capsys, tmp_path):

@@ -21,7 +21,7 @@ PINNED = {
     "03_periodic_decomposition":
         "744ff7c5ab2b4041d3ad080927a0514da8ae7ab3577a2726c394e21588cbc9ce",
     "04_lifting_and_piecewise":
-        "4085b306e4ab1cad5abc00a5be1b29defd5a12178273d2734a25652ad8862d6c",
+        "da0101c4c6e12b2eadf282e091701da94299ff64ccb77b6ce04ea504ef172b0d",
     "05_independence_and_companions":
         "c98dc9e020a22b60b76cc5a91363c9e8511afbc966d014bb13d2f9d9826e56af",
     "06_cyclic_fibers":

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tilekit.analysis import is_independent_tuple
-from tilekit.errors import InputContractError, NotACotileError, NotAPartitionError
+from tilekit.errors import InputContractError, NotACotileError, NotAPartitionError, TilekitError
 from tilekit.lattice import Lattice, PeriodicSet, enumerate_sublattices, hnf, stabilizer, vsub
 from tilekit.solve import (
+    _cycle_letters,
     _Recoder,
     AllDPeriodic,
-    BlockGraph,
     SearchProblem,
     brute_force_quotient,
     common_stabilizer,
@@ -258,14 +258,87 @@ def test_search_Z_agrees_with_lattice_search_full_bound():
     _cross_validate_z((7, 8))
 
 
+class _EagerBlockGraph:
+    """Reference for _cycle_letters: the block graph built in full, every
+    window word decided before the search looks at any node."""
+
+    def __init__(self, alphabet, window, legal):
+        self.window = window
+        if window <= 1:
+            self.nodes = ((),)
+            self.edges = {(): tuple(a for a in alphabet if legal((a,)))}
+            return
+        nodes = set()
+        edges = {}
+        for word in itertools.product(alphabet, repeat=window):
+            if legal(word):
+                nodes.update((word[:-1], word[1:]))
+                edges.setdefault(word[:-1], []).append(word[1:])
+        self.nodes = tuple(sorted(nodes))
+        self.edges = {n: tuple(sorted(edges.get(n, ()))) for n in self.nodes}
+
+    def cycle_letters(self):
+        if self.window <= 1:
+            loops = self.edges[()]
+            return (loops[0],) if loops else None
+        color = {}
+        for start in self.nodes:
+            if color.get(start):
+                continue
+            stack = [(start, iter(self.edges[start]))]
+            on_path = [start]
+            color[start] = 1
+            while stack:
+                node, it = stack[-1]
+                advanced = False
+                for nxt in it:
+                    if color.get(nxt) == 1:
+                        return tuple(n[0] for n in on_path[on_path.index(nxt):])
+                    if color.get(nxt) != 2:
+                        color[nxt] = 1
+                        on_path.append(nxt)
+                        stack.append((nxt, iter(self.edges[nxt])))
+                        advanced = True
+                        break
+                if not advanced:
+                    color[node] = 2
+                    on_path.pop()
+                    stack.pop()
+        return None
+
+
 def test_block_graph_cycle():
-    graph = BlockGraph.build((0, 1), 2, lambda w: w[0] != w[1])
-    cycle = graph.find_cycle()
-    assert cycle is not None
-    letters = graph.cycle_letters()
-    assert sorted(letters) == [0, 1]
-    empty = BlockGraph.build((0, 1), 2, lambda w: False)
-    assert empty.find_cycle() is None
+    letters = _cycle_letters(1, 2, lambda w: w[0] != w[1])
+    assert sorted(letters) == [(0,), (1,)]
+    assert _cycle_letters(1, 2, lambda w: False) is None
+
+
+@st.composite
+def _window_systems(draw):
+    """m, window and a set of legal window words over the 2^m letters."""
+    m = draw(st.integers(1, 2))
+    window = draw(st.integers(1, 4))
+    alphabet = list(itertools.product((0, 1), repeat=m))
+    words = list(itertools.product(alphabet, repeat=window))
+    return m, window, frozenset(draw(st.sets(st.sampled_from(words))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_window_systems())
+def test_cycle_letters_matches_eager_block_graph(system):
+    m, window, legal_words = system
+    calls = []
+
+    def legal(word):
+        calls.append(word)
+        return word in legal_words
+
+    alphabet = tuple(itertools.product((0, 1), repeat=m))
+    expected = _EagerBlockGraph(alphabet, window, legal).cycle_letters()
+    eager_calls = len(calls)
+    calls.clear()
+    assert _cycle_letters(m, window, legal) == expected
+    assert len(calls) <= eager_calls
 
 
 def test_lift_striped_cotile():
@@ -323,6 +396,44 @@ def test_lift_refuses_large_block_graph_before_building_it():
     with pytest.raises(InputContractError, match="block graph too large"):
         lift_to_full_period(tiles, hnf(2, [(0, 40)]), striped)
     assert time.perf_counter() - start < 1.0
+
+
+LIFT_PINS = Path(__file__).resolve().parent / "lift_pins.json"
+
+
+def _pinned_set(dim, doc):
+    return PeriodicSet.make(hnf(dim, doc["lattice"]), [tuple(m) for m in doc["members"]])
+
+
+def test_lift_returns_pinned_results():
+    # Lattice basis and members, or the exception type, recorded from the
+    # eager block-graph build that the lazy walk replaced.  The corpus: a 4x3
+    # rectangle on a sheared refined co-tile with gamma0 = Z(3, 3); the 3-D
+    # box pair under several gamma0 and refinements; rectangles up to 4 cells
+    # on sheared lattice co-tiles, plain and refined, under four gamma0 each;
+    # contract failures; and 100 seeded piecewise inputs of the domino (rows of
+    # 2Z x Z, shifted independently, grouped into pieces, with declared
+    # stabilizers such as Z(0, 4) or none).
+    cases = json.loads(LIFT_PINS.read_text())
+    assert len(cases) == 208
+    for case in cases:
+        dim = len(case["tiles"][0][0])
+        tiles = TileTuple.make([Tile.make(dim, [tuple(p) for p in t]) for t in case["tiles"]])
+        try:
+            if case["op"] == "lift":
+                out = lift_to_full_period(tiles, hnf(dim, case["gamma0"]),
+                                          _pinned_set(dim, case["cotile"]))
+            else:
+                declared = case["declared"]
+                out = piecewise_to_periodic(
+                    tiles, [_pinned_set(dim, p) for p in case["pieces"]],
+                    None if declared is None else [hnf(dim, g) for g in declared])
+        except TilekitError as exc:
+            assert type(exc).__name__ == case["error"], case
+            continue
+        assert case["error"] is None, case
+        assert [list(c) for c in out.lattice.basis] == case["lattice"], case
+        assert [list(m) for m in out.sorted_members] == case["members"], case
 
 
 def _domino_setup():
