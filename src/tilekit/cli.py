@@ -458,6 +458,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if getattr(args, "window", 0) < 0:
+            raise _UsageError(f"--window must be non-negative, got {args.window}")
         return args.handler(args)
     except _UsageError as exc:
         print(f"tilekit: {exc}", file=sys.stderr)

@@ -295,6 +295,14 @@ class QuotientGroup:
     def index_of(self):
         return {r: i for i, r in enumerate(self.residues)}
 
+    def number(self, r):
+        """Number of the canonical residue r, read off its digits without
+        building residues or index_of."""
+        a = 0
+        for x, p in zip(reversed(r), reversed(self.pivots)):
+            a = a * p + x
+        return a
+
     def translation(self, v, keep=True):
         """Translation by the integer vector v as a permutation of residue numbers.
 

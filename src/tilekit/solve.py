@@ -75,13 +75,17 @@ def solve_quotient(tiles, lat, mode="all"):
     An exact cover of Z^d / L over big-int masks.  With n the index, bit
     i*n + y of the mask of placement a is set when tile i covers residue
     number y from a, so one int holds the coverage of every tile and a
-    placement is legal when its mask misses the covered bits.  A state, the
-    covered bits and the placements chosen, is never changed in place; states
-    wait on an explicit stack, so depth is not bounded by the recursion
-    limit.  Each state branches on the least residue the first tile leaves
-    uncovered and tries the placements covering it in the order of that
-    tile's points.  The "all" mode is complete, and its solutions come
-    sorted.  Infeasible projections return an empty list.
+    placement is legal when its mask misses the covered bits.  A point's
+    translation table is built once by QuotientGroup.translation and shared
+    by every tile holding its residue; the origin, which every tile holds,
+    has the identity table.  A state, the covered bits and the placements
+    chosen, is never changed in place; states wait on an explicit stack, so
+    depth is not bounded by the recursion limit.  Each state branches on the
+    least residue the first tile leaves uncovered and tries the placements
+    covering it in the order of that tile's points.  The "all" mode is
+    complete, and its solutions come sorted.  Residue numbers are decoded to
+    residues only when the search has found a solution.  Infeasible
+    projections return an empty list.
     """
     if mode not in ("all", "first"):
         raise InputContractError("mode must be 'all' or 'first'")
@@ -93,30 +97,37 @@ def solve_quotient(tiles, lat, mode="all"):
     bits = [1 << y for y in range(n * len(problem.projected))]
     masks = [0] * n
     providers = [[] for _ in range(n)]  # placements covering y for the first tile
+    tables = {}  # residue number -> translation table, origin excluded
     for i, res in enumerate(problem.projected):
         row = bits[i * n:(i + 1) * n]
         for f in res:
-            table = quotient.translation(f, keep=False)
+            num = quotient.number(f)
+            table = tables.get(num) if num else range(n)
+            if table is None:
+                table = tables[num] = quotient.translation(f, keep=False)
             masks = [m | row[y] for m, y in zip(masks, table)]
             if i == 0:
                 for a, y in enumerate(table):
                     providers[y].append(a)
     full = (1 << len(bits)) - 1
-    residues = quotient.residues
-    sets = []
+    found = []
     stack = [(0, ())]
     while stack:
         covered, chosen = stack.pop()
         y = (~covered & (covered + 1)).bit_length() - 1
         if y >= n:  # the first tile is covered
             if covered == full:
-                sets.append(PeriodicSet(lat, frozenset(residues[a] for a in chosen)))
+                found.append(chosen)
                 if mode == "first":
                     break
             continue
         for a in reversed(providers[y]):
             if not masks[a] & covered:
                 stack.append((covered | masks[a], chosen + (a,)))
+    if not found:
+        return []
+    residues = quotient.residues
+    sets = [PeriodicSet(lat, frozenset(residues[a] for a in chosen)) for chosen in found]
     sets.sort(key=lambda a: a.sorted_members)
     return sets
 
@@ -184,17 +195,34 @@ def brute_force_quotient(tiles, lat):
     return found
 
 
+def _on_stabilizer(aset):
+    """Whether the stabilizer of a periodic set is its lattice, decided by the
+    member differences a - a0 as search_periodic_cotile explains."""
+    lat, members = aset.lattice, aset.members
+    a0 = min(members)
+    for a in members:
+        if a != a0:
+            v = vsub(a, a0)
+            if all(lat.reduce(vadd(m, v)) in members for m in members):
+                return False
+    return True
+
+
 def search_periodic_cotile(tiles, max_index, mode="all"):
     """Periodic joint co-tiles with stabilizer index up to max_index.
 
     Iterates candidate lattices whose index is a multiple of |F_1| and solves
     each quotient.  A solution is kept exactly when its stabilizer is the
-    lattice it was solved on.  The stabilizer S of a co-tile A contains that
-    lattice, and its index is |F_1| times the number of members of A modulo
-    S, so a co-tile whose stabilizer is larger was already found on S, at a
-    smaller index; each co-tile is thus kept once, on its stabilizer.  In the "first"
-    mode the first solution is on its stabilizer for the same reason, and the
-    sweep stops there.  Returns (stabilizer, set) pairs.
+    lattice it was solved on, that is when no difference a - a0 of a member a
+    and the least member a0 maps it onto itself modulo the lattice: a
+    stabilizing vector outside the lattice moves a0 onto some other member,
+    so it is one of those differences modulo the lattice (_on_stabilizer).
+    The stabilizer S of a co-tile A contains that lattice, and its index is
+    |F_1| times the number of members of A modulo S, so a co-tile whose
+    stabilizer is larger was already found on S, at a smaller index; each
+    co-tile is thus kept once, on its stabilizer.  In the "first" mode the
+    first solution is on its stabilizer for the same reason, and the sweep
+    stops there.  Returns (stabilizer, set) pairs.
     """
     if mode not in ("all", "first"):
         raise InputContractError("mode must be 'all' or 'first'")
@@ -207,7 +235,7 @@ def search_periodic_cotile(tiles, max_index, mode="all"):
     for n in range(size, max_index + 1, size):
         for lat in enumerate_sublattices(d, n):
             for aset in solve_quotient(tiles, lat, mode=mode):
-                if stabilizer(aset) != lat:
+                if not _on_stabilizer(aset):
                     continue
                 members = frozenset(shared.setdefault(m, m) for m in aset.members)
                 members = shared.setdefault(members, members)

@@ -1,4 +1,5 @@
-"""Every target of bench/tracer.py still names a tilekit function or method.
+"""Every target of bench/tracer.py still names a tilekit function or method,
+and the sweep counts it takes from their return values stay as pinned.
 
 A target the tracer cannot find is recorded as absent and its per-layer
 metrics read 0, so a rename in tilekit would silently zero them.
@@ -10,17 +11,41 @@ from pathlib import Path
 import tilekit  # noqa: F401
 import tilekit.cli  # noqa: F401
 import tilekit.jsonio  # noqa: F401
+from conftest import box_pair
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
-def test_every_tracer_target_resolves():
+def _tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    tracer = module.Tracer()
+    return module.Tracer()
+
+
+def test_every_tracer_target_resolves():
+    tracer = _tracer()
     tracer.install()
     try:
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+
+def test_sweep_counts_of_box_pair_frame_0():
+    # The counts of sweep3d's frame 0: every candidate lattice goes through
+    # solve_quotient, and each through one SearchProblem.build, which the
+    # tracer reads for feasible; a sweep that skipped either reads lower.
+    # The sweep is called through the package, whose binding the tracer
+    # replaces.
+    tracer = _tracer()
+    tracer.install()
+    try:
+        found = tilekit.search_periodic_cotile(box_pair(), 12, mode="all")
+    finally:
+        tracer.uninstall()
+    assert len(found) == 76
+    counts = {k: tracer.counts[k] for k in
+              ("candidates", "feasible", "productive", "raw_solutions", "distinct")}
+    assert counts == {"candidates": 645, "feasible": 346, "productive": 63,
+                      "raw_solutions": 316, "distinct": 76}

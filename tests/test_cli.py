@@ -216,6 +216,16 @@ def test_render_svg(capsys):
     assert "<svg" in out
 
 
+def test_negative_window_is_usage_error(capsys):
+    for argv in (["verify", "--tiles", fx("domino_z2_tile.json"),
+                  "--cotile", fx("domino_z2_cotile.json")],
+                 ["solve", "--tiles", fx("domino_z2_tile.json"), "--max-index", "2"]):
+        for render in ("svg", "ascii"):
+            code, out, err = run(capsys, *argv, "--render", render, "--window", "-2")
+            assert code == 1 and out == ""
+            assert err == "tilekit: --window must be non-negative, got -2\n"
+
+
 # stdout sha256 of --render on 1-D, 2-D and 3-D inputs; {tile} and {cotile}
 # name the 1-D tile {0, 2} and its co-tile {0, 1} + 4Z
 RENDER_PINS = {

@@ -245,6 +245,13 @@ def test_translation_table_matches_reduce(lat, v):
         assert table[a] == q.index_of[lat.reduce(vadd(r, v))]
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(hnf_lattices(60))
+def test_residue_number_matches_residue_order(lat):
+    q = lat.quotient()
+    assert [q.number(r) for r in q.residues] == list(range(len(q)))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_labellings())
 def test_set_stabilizer_matches_reference_loop(instance):

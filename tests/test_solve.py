@@ -9,9 +9,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tilekit.analysis import is_independent_tuple
 from tilekit.errors import InputContractError, NotACotileError, NotAPartitionError, TilekitError
-from tilekit.lattice import Lattice, PeriodicSet, enumerate_sublattices, hnf, stabilizer, vsub
+from tilekit.lattice import (
+    Lattice,
+    PeriodicSet,
+    enumerate_sublattices,
+    hnf,
+    stabilizer,
+    vadd,
+    vsub,
+)
 from tilekit.solve import (
     _cycle_letters,
+    _on_stabilizer,
     _Recoder,
     AllDPeriodic,
     SearchProblem,
@@ -153,6 +162,51 @@ def test_first_mode_returns_pinned_members():
         found = solve_quotient(tiles, lat, mode="first")
         got = [list(m) for m in found[0].sorted_members] if found else None
         assert got == case["members"], case
+
+
+SWEEP_PINS = Path(__file__).resolve().parent / "sweep_pins.json"
+
+
+def test_search_periodic_cotile_returns_pinned_sweeps():
+    # The all-mode output, in order, recorded from the sweep that kept a
+    # solution when stabilizer(aset) equalled its lattice: the domino, the
+    # L-tromino, the 2x2 square and 20 seeded random 3- and 4-point tiles of
+    # Z^2 to index 16, every tile of Z with diameter at most 5 to index 24,
+    # and the box pair to index 8 in three unimodular frames.
+    cases = json.loads(SWEEP_PINS.read_text())
+    assert len(cases) == 58
+    start = time.perf_counter()
+    for case in cases:
+        dim = len(case["tiles"][0][0])
+        tiles = TileTuple.make([Tile.make(dim, [tuple(p) for p in t]) for t in case["tiles"]])
+        found = search_periodic_cotile(tiles, case["max_index"], mode="all")
+        got = [[[list(c) for c in lat.basis], [list(m) for m in aset.sorted_members]]
+               for lat, aset in found]
+        assert got == case["found"], case["case"]
+    assert time.perf_counter() - start < 2.0
+
+
+@st.composite
+def _periodic_sets(draw):
+    """Non-empty member sets on a lattice of index at most 24, half of them
+    closed under a drawn shift so that stabilizers beyond the lattice occur."""
+    lat = draw(hnf_lattices(24))
+    members = set(draw(st.sets(st.sampled_from(lat.quotient().residues), min_size=1)))
+    if draw(st.booleans()):
+        shift = draw(st.tuples(*[st.integers(-3, 3)] * lat.dim))
+        frontier = list(members)
+        while frontier:
+            r = lat.reduce(vadd(frontier.pop(), shift))
+            if r not in members:
+                members.add(r)
+                frontier.append(r)
+    return PeriodicSet(lat, frozenset(members))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_periodic_sets())
+def test_keep_test_by_differences_matches_stabilizer(aset):
+    assert _on_stabilizer(aset) == (stabilizer(aset) == aset.lattice)
 
 
 def test_search_periodic_cotile_box_pair():
