@@ -20,6 +20,7 @@ off the Hermite form as its normal form.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -160,10 +161,7 @@ class Lattice:
         """Number of cosets: product of pivots, or INFINITE below full rank."""
         if not self.is_full_rank:
             return INFINITE
-        n = 1
-        for p in self.pivots:
-            n *= p
-        return n
+        return math.prod(self.pivots)
 
     def reduce(self, v):
         """Canonical representative of v modulo this lattice (full rank only)."""
@@ -270,12 +268,11 @@ class QuotientGroup:
     first use.  Translation tables asked for with keep, as convolution does,
     are kept once built, as tuples, up to TABLE_CELLS residue numbers in all;
     beyond that the oldest tables are dropped first, so a large quotient or
-    many distinct shifts cannot grow memory without limit.  The cover search
-    and the stabilizer probes build theirs for one call and keep none: a
-    sweep meets every lattice once, so kept tables would rarely be reused.
-    Obtain instances through Lattice.quotient(), which shares one per
-    lattice; nothing here refers back to the instance, so it forms no
-    reference cycle.
+    many distinct shifts cannot grow memory without limit.  rows, for the
+    cover search, and the stabilizer probes keep none, as a sweep meets
+    every lattice once.  Lattice.quotient() shares one instance per lattice;
+    SearchProblem.build makes its own, so a sweep evicts none.  Nothing here
+    refers back to the instance, so it forms no reference cycle.
     """
 
     def __init__(self, lattice):
@@ -295,13 +292,55 @@ class QuotientGroup:
     def index_of(self):
         return {r: i for i, r in enumerate(self.residues)}
 
-    def number(self, r):
-        """Number of the canonical residue r, read off its digits without
-        building residues or index_of."""
-        a = 0
-        for x, p in zip(reversed(r), reversed(self.pivots)):
-            a = a * p + x
-        return a
+    def numbers(self, vectors):
+        """Residue numbers of the integer vectors, each reduced on the way as
+        Lattice.reduce does, read off the digits without residues or index_of."""
+        pivots, basis = self.pivots, self.lattice.basis
+        down = range(len(pivots) - 1, -1, -1)
+        out = []
+        for v in vectors:
+            w = list(v)
+            a = 0
+            for k in down:
+                p = pivots[k]
+                x = w[k]
+                q = x // p
+                if q:
+                    x -= q * p
+                    col = basis[k]
+                    for t in range(k):
+                        w[t] -= q * col[t]
+                a = a * p + x
+            out.append(a)
+        return tuple(out)
+
+    def rows(self, numbers):
+        """Translation tables of the residues with the given numbers, keyed by
+        number: row y lists the number of residues[y] + residues[a] for each a.
+
+        Digit 0 never carries (basis column 0 is p_0 e_0), so the cells y +
+        a_0 e_0 are y's block of p_0 numbers, rotated.  One walk then serves
+        all m rows: their cells, interleaved, move p_k - 1 times along the
+        table of each basis step e_k, and every move appends a copy, so row i
+        is every m-th entry from i on, in residue order.
+        """
+        pivots = self.pivots
+        p0, d = pivots[0], len(pivots)
+        numbers = list(numbers)
+        rows = [list(range(y, y - y % p0 + p0)) + list(range(y - y % p0, y)) for y in numbers]
+        steps = [k for k in range(1, d) if pivots[k] > 1]
+        if steps:
+            walked = list(itertools.chain.from_iterable(zip(*rows)))
+            for k in steps:
+                step = self.translation([int(t == k) for t in range(d)], keep=False)
+                run = walked
+                walked = walked[:]
+                for _ in range(pivots[k] - 1):
+                    run = [step[x] for x in run]
+                    walked += run
+            m = len(numbers)
+            rows = [walked[i::m] for i in range(m)]
+        return dict(zip(numbers, rows))
 
     def translation(self, v, keep=True):
         """Translation by the integer vector v as a permutation of residue numbers.
@@ -353,7 +392,7 @@ class QuotientGroup:
         return out
 
     def __len__(self):
-        return self.lattice.index()
+        return math.prod(self.pivots)
 
     def __iter__(self):
         return iter(self.residues)

@@ -24,11 +24,13 @@ from .errors import (
 from .lattice import (
     Lattice,
     PeriodicSet,
+    QuotientGroup,
     _integer_kernel,
     enumerate_sublattices,
     hnf,
     stabilizer,
     vadd,
+    vneg,
     vscale,
     vsub,
 )
@@ -40,11 +42,12 @@ from .decompose import primorial
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """A tile tuple projected into a finite quotient Z^d / L."""
+    """A tile tuple projected into a finite quotient Z^d / L: per tile, the
+    numbers of its sorted points' residues (QuotientGroup.numbers)."""
 
     tiles: TileTuple
     lattice: Lattice
-    projected: tuple  # per tile, tuple of residues of the tile's points
+    projected: tuple  # per tile, tuple of residue numbers of the tile's points
     injective: tuple  # per tile, whether the projection is one-to-one
     size_divides: bool
 
@@ -54,14 +57,14 @@ class SearchProblem:
             raise InputContractError("tiles and lattice have different dimensions")
         if not lat.is_full_rank:
             raise RankDeficientError("quotient search needs a full-rank lattice")
+        quotient = QuotientGroup(lat)  # uncached, so a sweep evicts no shared quotient
         projected = []
         injective = []
         for tile in tiles:
-            res = tuple(lat.reduce(p) for p in tile.sorted_points)
+            res = quotient.numbers(tile.sorted_points)
             projected.append(res)
             injective.append(len(set(res)) == len(res))
-        index = lat.index()
-        divides = all(index % t.size == 0 for t in tiles)
+        divides = all(len(quotient) % t.size == 0 for t in tiles)
         return SearchProblem(tiles, lat, tuple(projected), tuple(injective), divides)
 
     @property
@@ -75,17 +78,19 @@ def solve_quotient(tiles, lat, mode="all"):
     An exact cover of Z^d / L over big-int masks.  With n the index, bit
     i*n + y of the mask of placement a is set when tile i covers residue
     number y from a, so one int holds the coverage of every tile and a
-    placement is legal when its mask misses the covered bits.  A point's
-    translation table is built once by QuotientGroup.translation and shared
-    by every tile holding its residue; the origin, which every tile holds,
-    has the identity table.  A state, the covered bits and the placements
-    chosen, is never changed in place; states wait on an explicit stack, so
-    depth is not bounded by the recursion limit.  Each state branches on the
-    least residue the first tile leaves uncovered and tries the placements
-    covering it in the order of that tile's points.  The "all" mode is
-    complete, and its solutions come sorted.  Residue numbers are decoded to
-    residues only when the search has found a solution.  Infeasible
-    projections return an empty list.
+    placement is legal when its mask misses the covered bits.  The tiles are
+    projected once, to residue numbers, by SearchProblem.build; one digit
+    pass, QuotientGroup.rows, lists the cell y + r_a of every placement a for
+    the number y of each tile point and each negated point of the first
+    tile.  The row of -f is the inverse of the row of f, so zipping those
+    rows gives the placements covering each cell, in the order of the first
+    tile's points.  A state, the covered bits and the placements chosen, is
+    never changed in place; states wait on an explicit stack, so depth is not
+    bounded by the recursion limit.  Each state branches on the least residue
+    the first tile leaves uncovered and tries the placements covering it in
+    that order.  The "all" mode is complete, and its solutions come sorted.
+    Residue numbers are decoded to residues only when the search has found a
+    solution.  Infeasible projections return an empty list.
     """
     if mode not in ("all", "first"):
         raise InputContractError("mode must be 'all' or 'first'")
@@ -94,21 +99,16 @@ def solve_quotient(tiles, lat, mode="all"):
         return []
     quotient = lat.quotient()
     n = len(quotient)
-    bits = [1 << y for y in range(n * len(problem.projected))]
+    projected = problem.projected
+    inverse = quotient.numbers([vneg(f) for f in tiles[0].sorted_points])
+    rows = quotient.rows(set(inverse).union(*projected))
+    bits = [1 << y for y in range(n * len(projected))]
     masks = [0] * n
-    providers = [[] for _ in range(n)]  # placements covering y for the first tile
-    tables = {}  # residue number -> translation table, origin excluded
-    for i, res in enumerate(problem.projected):
+    for i, res in enumerate(projected):
         row = bits[i * n:(i + 1) * n]
-        for f in res:
-            num = quotient.number(f)
-            table = tables.get(num) if num else range(n)
-            if table is None:
-                table = tables[num] = quotient.translation(f, keep=False)
-            masks = [m | row[y] for m, y in zip(masks, table)]
-            if i == 0:
-                for a, y in enumerate(table):
-                    providers[y].append(a)
+        for y in res:
+            masks = [m | row[c] for m, c in zip(masks, rows[y])]
+    providers = list(zip(*[rows[y] for y in inverse]))
     full = (1 << len(bits)) - 1
     found = []
     stack = [(0, ())]
@@ -140,13 +140,13 @@ def brute_force_quotient(tiles, lat):
     to subsets of the forced cardinality index/|F| (a tiling of a finite group
     satisfies |F| * |A| = |G| by counting).
     """
-    problem = SearchProblem.build(tiles, lat)
     quotient = lat.quotient()
     residues = quotient.residues
     n = len(residues)
     k = len(tiles.tiles)
     covers = []
-    for res in problem.projected:
+    for tile in tiles:
+        res = [lat.reduce(p) for p in tile.sorted_points]
         covers.append([tuple(quotient.index_of[lat.reduce(vadd(r, f))] for f in res)
                        for r in residues])
 

@@ -5,7 +5,9 @@ A target the tracer cannot find is recorded as absent and its per-layer
 metrics read 0, so a rename in tilekit would silently zero them.
 """
 
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import tilekit  # noqa: F401
@@ -49,3 +51,24 @@ def test_sweep_counts_of_box_pair_frame_0():
               ("candidates", "feasible", "productive", "raw_solutions", "distinct")}
     assert counts == {"candidates": 645, "feasible": 346, "productive": 63,
                       "raw_solutions": 316, "distinct": 76}
+
+
+def test_sweep_of_box_pair_to_index_24():
+    # bench/selfcheck.py's sweep: quotients up to index 24, among them the
+    # p_0 = 1 shapes whose digit-0 blocks are single cells.  The digest is of
+    # the all-mode output as (basis, sorted members) in output order,
+    # recorded before residue numbers replaced residues in SearchProblem.
+    tracer = _tracer()
+    tracer.install()
+    try:
+        found = tilekit.search_periodic_cotile(box_pair(), 24, mode="all")
+    finally:
+        tracer.uninstall()
+    keys = [[list(map(list, lat.basis)), [list(m) for m in aset.sorted_members]]
+            for lat, aset in found]
+    digest = hashlib.sha256(json.dumps(keys, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "3b42a68008b48872ed77bd1643f569ae7d9cce787b197b75fe33e8a087c98053"
+    counts = {k: tracer.counts[k] for k in
+              ("candidates", "feasible", "productive", "raw_solutions", "distinct")}
+    assert counts == {"candidates": 4396, "feasible": 3217, "productive": 534,
+                      "raw_solutions": 3624, "distinct": 844}

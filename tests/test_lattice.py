@@ -246,10 +246,42 @@ def test_translation_table_matches_reduce(lat, v):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(hnf_lattices(60))
-def test_residue_number_matches_residue_order(lat):
+@given(hnf_lattices(60), st.lists(st.tuples(*[st.integers(-200, 200)] * 3), max_size=6))
+def test_residue_number_matches_residue_order(lat, vectors):
     q = lat.quotient()
-    assert [q.number(r) for r in q.residues] == list(range(len(q)))
+    assert q.numbers(q.residues) == tuple(range(len(q)))
+    vectors = [v[:lat.dim] for v in vectors]
+    assert q.numbers(vectors) == tuple(q.index_of[lat.reduce(v)] for v in vectors)
+
+
+@st.composite
+def _unit_first_pivot(draw):
+    """3-D lattices of index <= 24 with p_0 = 1: every digit-0 block is one cell."""
+    p1 = draw(st.integers(1, 24))
+    p2 = draw(st.integers(1, 24 // p1))
+    return Lattice(3, ((1, 0, 0), (0, p1, 0), (0, draw(st.integers(0, p1 - 1)), p2)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(hnf_lattices(24), st.integers(1, 256).map(lambda n: Lattice.diagonal([n])),
+                 _unit_first_pivot()),
+       st.lists(st.tuples(*[st.integers(-300, 300)] * 3), min_size=1, max_size=6))
+def test_numbers_and_rows_match_reduce(lat, vectors):
+    # The reference reduces every sum with Lattice.reduce and looks it up in
+    # index_of; it shares no code with the projection or the walk.
+    q = lat.quotient()
+    residues, index_of = q.residues, q.index_of
+    vectors = [v[:lat.dim] for v in vectors]
+    numbers = q.numbers(vectors)
+    assert numbers == tuple(index_of[lat.reduce(v)] for v in vectors)
+    rows = q.rows(set(numbers))
+    assert sorted(rows) == sorted(set(numbers))
+    for y, row in rows.items():
+        assert row == [index_of[lat.reduce(vadd(residues[a], residues[y]))]
+                       for a in range(len(q))]
+    for row in rows.values():
+        (back,) = q.rows([row.index(0)]).values()
+        assert [back[c] for c in row] == list(range(len(q)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
