@@ -264,14 +264,16 @@ class QuotientGroup:
 
     Residue number a has digits a_i in [0, pivot_i) with the first coordinate
     varying fastest: a = a_0 + p_0 * (a_1 + p_1 * (a_2 + ...)).  This class is
-    the only code that knows that order; residues and index_of are built on
-    first use.  Translation tables asked for with keep, as convolution does,
-    are kept once built, as tuples, up to TABLE_CELLS residue numbers in all;
-    beyond that the oldest tables are dropped first, so a large quotient or
-    many distinct shifts cannot grow memory without limit.  rows, for the
-    cover search, and the stabilizer probes keep none, as a sweep meets
-    every lattice once.  Lattice.quotient() shares one instance per lattice;
-    SearchProblem.build makes its own, so a sweep evicts none.  Nothing here
+    the only code that knows that order, which a function's numerators and
+    the bits of a PeriodicSet's mask follow; residues and index_of are built
+    on first use.  Translation tables asked for with keep, as convolution
+    does, are kept once built, as tuples, up to TABLE_CELLS residue numbers
+    in all; beyond that the oldest tables are dropped first, so a large
+    quotient or many distinct shifts cannot grow memory without limit.
+    rows, for the cover search, and the stabilizer probes keep none, as a
+    sweep meets every lattice once.  Lattice.quotient() shares one instance
+    per lattice; SearchProblem.build makes its own for solve_quotient, so a
+    sweep shares only the quotients of the sets it decodes.  Nothing here
     refers back to the instance, so it forms no reference cycle.
     """
 
@@ -397,9 +399,6 @@ class QuotientGroup:
     def __iter__(self):
         return iter(self.residues)
 
-    def add(self, r1, r2):
-        return self.lattice.reduce(vadd(r1, r2))
-
 
 def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
@@ -453,59 +452,78 @@ def enumerate_points(lat):
         s += 1
 
 
+def _mask(numbers):
+    """The mask with bit a set for each residue number a in numbers."""
+    return sum(1 << a for a in set(numbers))
+
+
+def _bits(mask):
+    """The residue numbers of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class PeriodicSet:
-    """An L-periodic subset of Z^d: a full-rank lattice plus member residues."""
+    """An L-periodic subset of Z^d: a full-rank lattice plus an int mask, bit a set
+    for member residue number a of lattice.quotient(); members and sorted_members decode it."""
 
     lattice: Lattice
-    members: frozenset
+    mask: int
 
     @staticmethod
     def make(lattice, vectors):
         if not lattice.is_full_rank:
             raise RankDeficientError("a periodic set needs a full-rank lattice")
-        return PeriodicSet(lattice, frozenset(lattice.reduce(v) for v in vectors))
+        vectors = [tuple(v) for v in vectors]
+        if any(len(v) != lattice.dim for v in vectors):
+            raise InputContractError(f"a vector does not have dimension {lattice.dim}")
+        return PeriodicSet(lattice, _mask(lattice.quotient().numbers(vectors)))
 
     @property
     def dim(self):
         return self.lattice.dim
 
     @property
+    def members(self):
+        return frozenset(map(self.lattice.quotient().residues.__getitem__, _bits(self.mask)))
+
+    @property
     def sorted_members(self):
         return tuple(sorted(self.members))
 
     def contains(self, v):
-        return self.lattice.reduce(v) in self.members
+        return self.mask >> self.lattice.quotient().index_of[self.lattice.reduce(v)] & 1 == 1
 
     def translate(self, v):
-        return PeriodicSet(self.lattice,
-                           frozenset(self.lattice.reduce(vadd(m, v)) for m in self.members))
+        table = self.lattice.quotient().translation(v)
+        return PeriodicSet(self.lattice, _mask([table[a] for a in _bits(self.mask)]))
 
     def density(self):
-        return Fraction(len(self.members), self.lattice.index())
+        return Fraction(self.mask.bit_count(), self.lattice.index())
 
     def refine(self, sub):
         """Re-present on a finer full-rank lattice sub (sub must lie inside lattice)."""
         if not self.lattice.contains_lattice(sub):
             raise InputContractError("refinement lattice is not contained in the current one")
-        members = frozenset(r for r in sub.quotient() if self.contains(r))
-        return PeriodicSet(sub, members)
+        numbers = self.lattice.quotient().numbers(sub.quotient().residues)
+        return PeriodicSet(sub, _mask([b for b, a in enumerate(numbers) if self.mask >> a & 1]))
 
     def on_stabilizer(self):
         """Canonical presentation on the full stabilizer lattice (self when
         the lattice is already the stabilizer)."""
         stab = stabilizer(self)
-        if stab == self.lattice:
-            return self
-        members = frozenset(stab.reduce(m) for m in self.members)
-        return PeriodicSet(stab, members)
+        return self if stab == self.lattice else PeriodicSet.make(stab, self.members)
 
     def same_set(self, other):
         """Equality as subsets of Z^d, regardless of presentation lattice."""
         if self.dim != other.dim:
             return False
         common = self.lattice.intersect(other.lattice)
-        return self.refine(common).members == other.refine(common).members
+        return self.refine(common).mask == other.refine(common).mask
 
     def __repr__(self):
         return f"PeriodicSet({self.lattice!r}, members={self.sorted_members})"
@@ -513,8 +531,7 @@ class PeriodicSet:
 
 def stabilizer(aset):
     """Full stabilizer {v : A + v = A} of a periodic set, as a canonical Lattice."""
-    members = aset.members
-    return label_stabilizer(aset.lattice, [r in members for r in aset.lattice.quotient()])
+    return label_stabilizer(aset.lattice, [aset.mask >> a & 1 for a in range(aset.lattice.index())])
 
 
 def label_stabilizer(lat, labels):

@@ -11,7 +11,7 @@ a cycle decodes to a fully periodic solution.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     InputContractError,
@@ -25,7 +25,9 @@ from .lattice import (
     Lattice,
     PeriodicSet,
     QuotientGroup,
+    _bits,
     _integer_kernel,
+    _mask,
     enumerate_sublattices,
     hnf,
     stabilizer,
@@ -42,14 +44,15 @@ from .decompose import primorial
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """A tile tuple projected into a finite quotient Z^d / L: per tile, the
-    numbers of its sorted points' residues (QuotientGroup.numbers)."""
+    """A tile tuple projected into a finite quotient Z^d / L, kept for
+    solve_quotient: per tile, the numbers of its sorted points' residues."""
 
     tiles: TileTuple
     lattice: Lattice
     projected: tuple  # per tile, tuple of residue numbers of the tile's points
     injective: tuple  # per tile, whether the projection is one-to-one
     size_divides: bool
+    quotient: QuotientGroup = field(compare=False)
 
     @staticmethod
     def build(tiles, lat):
@@ -65,7 +68,7 @@ class SearchProblem:
             projected.append(res)
             injective.append(len(set(res)) == len(res))
         divides = all(len(quotient) % t.size == 0 for t in tiles)
-        return SearchProblem(tiles, lat, tuple(projected), tuple(injective), divides)
+        return SearchProblem(tiles, lat, tuple(projected), tuple(injective), divides, quotient)
 
     @property
     def feasible(self):
@@ -84,20 +87,21 @@ def solve_quotient(tiles, lat, mode="all"):
     the number y of each tile point and each negated point of the first
     tile.  The row of -f is the inverse of the row of f, so zipping those
     rows gives the placements covering each cell, in the order of the first
-    tile's points.  A state, the covered bits and the placements chosen, is
-    never changed in place; states wait on an explicit stack, so depth is not
-    bounded by the recursion limit.  Each state branches on the least residue
-    the first tile leaves uncovered and tries the placements covering it in
-    that order.  The "all" mode is complete, and its solutions come sorted.
-    Residue numbers are decoded to residues only when the search has found a
-    solution.  Infeasible projections return an empty list.
+    tile's points.  A state, the covered bits and the mask of the placements
+    chosen, is never changed in place; states wait on an explicit stack, so
+    depth is not bounded by the recursion limit.  Each state branches on the
+    least residue the first tile leaves uncovered and tries the placements
+    covering it in that order.  Placement a puts residue number a in the
+    co-tile, so the placements chosen are a solution's mask.  The "all" mode
+    is complete, and its solutions come sorted by sorted_members, decoded
+    with this quotient.  Infeasible projections return an empty list.
     """
     if mode not in ("all", "first"):
         raise InputContractError("mode must be 'all' or 'first'")
     problem = SearchProblem.build(tiles, lat)
     if not problem.feasible:
         return []
-    quotient = lat.quotient()
+    quotient = problem.quotient
     n = len(quotient)
     projected = problem.projected
     inverse = quotient.numbers([vneg(f) for f in tiles[0].sorted_points])
@@ -111,7 +115,7 @@ def solve_quotient(tiles, lat, mode="all"):
     providers = list(zip(*[rows[y] for y in inverse]))
     full = (1 << len(bits)) - 1
     found = []
-    stack = [(0, ())]
+    stack = [(0, 0)]
     while stack:
         covered, chosen = stack.pop()
         y = (~covered & (covered + 1)).bit_length() - 1
@@ -123,13 +127,12 @@ def solve_quotient(tiles, lat, mode="all"):
             continue
         for a in reversed(providers[y]):
             if not masks[a] & covered:
-                stack.append((covered | masks[a], chosen + (a,)))
+                stack.append((covered | masks[a], chosen | 1 << a))
     if not found:
         return []
     residues = quotient.residues
-    sets = [PeriodicSet(lat, frozenset(residues[a] for a in chosen)) for chosen in found]
-    sets.sort(key=lambda a: a.sorted_members)
-    return sets
+    found.sort(key=lambda chosen: sorted([residues[a] for a in _bits(chosen)]))
+    return [PeriodicSet(lat, chosen) for chosen in found]
 
 
 def brute_force_quotient(tiles, lat):
@@ -151,17 +154,10 @@ def brute_force_quotient(tiles, lat):
                        for r in residues])
 
     full_mask = (1 << n) - 1
-
-    def mask_of(idx_tuple):
-        m = 0
-        for i in idx_tuple:
-            m |= 1 << i
-        return m
-
     cover_masks = []
     exact = []
     for i in range(k):
-        masks = [mask_of(cov) for cov in covers[i]]
+        masks = [_mask(cov) for cov in covers[i]]
         cover_masks.append(masks)
         exact.append([len(set(cov)) == len(cov) for cov in covers[i]])
 
@@ -190,7 +186,7 @@ def brute_force_quotient(tiles, lat):
         subsets = itertools.combinations(range(n), sizes.pop())
     for indices in subsets:
         if is_cover(indices):
-            found.append(PeriodicSet(lat, frozenset(residues[i] for i in indices)))
+            found.append(PeriodicSet(lat, _mask(indices)))
     found.sort(key=lambda a: a.sorted_members)
     return found
 
@@ -231,17 +227,13 @@ def search_periodic_cotile(tiles, max_index, mode="all"):
     d = tiles.dim
     size = tiles[0].size
     out = []
-    shared = {}  # equal residues and member sets of the kept sets stored once
     for n in range(size, max_index + 1, size):
         for lat in enumerate_sublattices(d, n):
             for aset in solve_quotient(tiles, lat, mode=mode):
-                if not _on_stabilizer(aset):
-                    continue
-                members = frozenset(shared.setdefault(m, m) for m in aset.members)
-                members = shared.setdefault(members, members)
-                out.append((lat, PeriodicSet(lat, members)))
-                if mode == "first":
-                    return out
+                if _on_stabilizer(aset):
+                    out.append((lat, aset))
+                    if mode == "first":
+                        return out
     out.sort(key=lambda pair: (pair[0].index(), pair[0].basis, pair[1].sorted_members))
     return out
 
@@ -476,12 +468,11 @@ def periodic_point_from_constraints(constraints, gamma0, ambient):
                            "the input contract must have been violated")
     p = len(letters)
     out_lattice = hnf(dim, list(gamma0.basis) + [vscale(p, v)])
-    members = set()
-    for r in out_lattice.quotient():
+    mask = 0
+    for a, r in enumerate(out_lattice.quotient().residues):
         n, u = rec.split(r)
-        if letters[n % p][rec.index_of[u]]:
-            members.add(r)
-    return PeriodicSet(out_lattice, frozenset(members))
+        mask |= letters[n % p][rec.index_of[u]] << a
+    return PeriodicSet(out_lattice, mask)
 
 
 def _failure(rep):
@@ -525,18 +516,18 @@ def _rank_d_minus_1_sublattice(lat, d):
 
 def _disjoint_pieces(pieces):
     """(common, refined, union): the intersection of the piece lattices, the
-    pieces refined to it and the union of their members; raises
+    pieces refined to it and the mask of their union; raises
     NotAPartitionError when two pieces overlap."""
     common = pieces[0].lattice
     for piece in pieces[1:]:
         common = common.intersect(piece.lattice)
     refined = [p.refine(common) for p in pieces]
-    seen = set()
+    union = 0
     for p in refined:
-        if seen & p.members:
+        if union & p.mask:
             raise NotAPartitionError("pieces overlap")
-        seen |= p.members
-    return common, refined, frozenset(seen)
+        union |= p.mask
+    return common, refined, union
 
 
 def piecewise_to_periodic(tiles, pieces, declared_stabilizers=None):
@@ -557,8 +548,8 @@ def piecewise_to_periodic(tiles, pieces, declared_stabilizers=None):
     d = tiles.dim
     if not pieces:
         raise InputContractError("need at least one piece")
-    common, refined, members = _disjoint_pieces(pieces)
-    union = PeriodicSet(common, members)
+    common, refined, covered = _disjoint_pieces(pieces)
+    union = PeriodicSet(common, covered)
     rep = verify.is_joint_cotile(tiles, union)
     if not rep:
         raise NotACotileError(_failure(rep))
@@ -589,15 +580,12 @@ def piecewise_to_periodic(tiles, pieces, declared_stabilizers=None):
     groups = {}
     for i, (piece, stab) in enumerate(zip(refined, stabs)):
         key = RationalSubspace.from_vectors(d, stab.basis) if stab.rank < d else i
-        if key in groups:
-            members, lat = groups[key]
-            groups[key] = (members | piece.members, lat.intersect(stab))
-        else:
-            groups[key] = (piece.members, stab)
+        mask, lat = groups.get(key, (0, stab))
+        groups[key] = (mask | piece.mask, lat.intersect(stab))
 
     replacements = []
-    for members, declared in groups.values():
-        piece = indicator(PeriodicSet(common, members))
+    for mask, declared in groups.values():
+        piece = indicator(PeriodicSet(common, mask))
         if declared.rank == d:
             replacements.append(piece)
             continue
@@ -645,8 +633,8 @@ def common_stabilizer(pieces):
     """
     if not pieces:
         raise NotAPartitionError("empty piece list")
-    common, refined, members = _disjoint_pieces(pieces)
-    if len(members) != common.index():
+    common, refined, covered = _disjoint_pieces(pieces)
+    if covered != (1 << common.index()) - 1:
         raise NotAPartitionError("pieces do not cover Z^d")
     meet = stabilizer(refined[0])
     for p in refined[1:]:

@@ -19,7 +19,7 @@ from operator import add
 from types import MappingProxyType
 
 from .errors import InputContractError, RankDeficientError
-from .lattice import Lattice, PeriodicSet, label_stabilizer, vadd, vneg, vsub, vscale
+from .lattice import Lattice, PeriodicSet, _mask, label_stabilizer, vadd, vneg, vsub, vscale
 
 
 @dataclass(frozen=True)
@@ -235,10 +235,9 @@ class PeriodicRationalFunction:
             return self
         if not self.lattice.contains_lattice(sub):
             raise InputContractError("refinement lattice is not contained in the current one")
-        lat, nums = self.lattice, self.nums
-        index_of = lat.quotient().index_of
-        return PeriodicRationalFunction(sub, self.den, tuple(
-            [nums[index_of[lat.reduce(r)]] for r in _quotient(sub).residues]))
+        nums = self.nums
+        numbers = self.lattice.quotient().numbers(_quotient(sub).residues)
+        return PeriodicRationalFunction(sub, self.den, tuple([nums[a] for a in numbers]))
 
     def common_lattice(self, other):
         if self.lattice == other.lattice:
@@ -307,9 +306,7 @@ class PeriodicRationalFunction:
 
     def support_set(self):
         """Members where the function is nonzero, as a PeriodicSet (0/1 functions)."""
-        residues = self.lattice.quotient().residues
-        return PeriodicSet(self.lattice,
-                           frozenset(r for r, n in zip(residues, self.nums) if n))
+        return PeriodicSet(self.lattice, _mask([a for a, n in enumerate(self.nums) if n]))
 
     def __repr__(self):
         items = ", ".join(f"{r}: {v}" for r, v in sorted(self.values.items()))
@@ -342,9 +339,8 @@ def _canonical(lattice, den, nums):
 
 def indicator(aset):
     """1_A as a periodic rational function on A's presentation lattice."""
-    members = aset.members
     return PeriodicRationalFunction(aset.lattice, 1, tuple(
-        [int(r in members) for r in _quotient(aset.lattice).residues]))
+        [aset.mask >> a & 1 for a in range(len(_quotient(aset.lattice)))]))
 
 
 def convolve_ints(g, quotient, values):

@@ -173,14 +173,12 @@ class MixedPeriodicSet:
         return (n % self.period, t % self.p) in self.members
 
     def lifted(self):
-        """The preimage in Z^2, periodic under diag(period, p); the members are
-        already its canonical residues."""
-        return PeriodicSet(Lattice.diagonal([self.period, self.p]), self.members)
+        """The preimage in Z^2, periodic under diag(period, p)."""
+        return PeriodicSet.make(Lattice.diagonal([self.period, self.p]), self.members)
 
     def projection(self):
         """Columns meeting the set, as a one-dimensional PeriodicSet."""
-        lat = Lattice.diagonal([self.period])
-        return PeriodicSet(lat, frozenset((n,) for n, _ in self.members))
+        return PeriodicSet.make(Lattice.diagonal([self.period]), [(n,) for n, _ in self.members])
 
     def stabilizer_generator(self):
         """Smallest (n, t) with n >= 1, then 0 <= t < p, fixing the set under

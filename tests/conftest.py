@@ -163,7 +163,7 @@ def tiling_cases(draw):
         tile = Tile.make(d, draw(st.sets(point, min_size=1, max_size=6)))
         rng = draw(st.randoms(use_true_random=False))
         members = [r for r in residues if rng.random() < 0.4]
-        return tile, PeriodicSet(lat, frozenset(members))
+        return tile, PeriodicSet.make(lat, members)
     rng = draw(st.randoms(use_true_random=False))
     points = []
     for r in residues:
@@ -172,7 +172,7 @@ def tiling_cases(draw):
         points.append(r)
     if kind == "short" and len(points) > 1:
         points.pop(rng.randrange(len(points)))
-    return Tile.make(d, points), PeriodicSet(lat, frozenset({(0,) * d}))
+    return Tile.make(d, points), PeriodicSet.make(lat, [(0,) * d])
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def _documents(draw):
     mixed_point = st.tuples(st.integers(-4, 4), st.integers(0, p - 1))
     return [
         lat,
-        PeriodicSet(lat, frozenset(draw(st.sets(st.sampled_from(residues))))),
+        PeriodicSet.make(lat, draw(st.sets(st.sampled_from(residues)))),
         tile,
         TileTuple.make([tile, Tile.make(d, [(0,) * d])]),
         WeightedTile.make(d, draw(st.dictionaries(point, st.integers(-3, 3), max_size=4))),

@@ -1,12 +1,14 @@
 import gc
 import itertools
 import math
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tilekit.errors import RankDeficientError
+from tilekit.errors import InputContractError, RankDeficientError
 from tilekit.lattice import (
     INFINITE,
     QUOTIENT_CACHE,
@@ -18,10 +20,12 @@ from tilekit.lattice import (
     hnf,
     stabilizer,
     vadd,
+    vscale,
 )
+from tilekit.solve import search_periodic_cotile
 from tilekit.tiles import PeriodicRationalFunction, WeightedTile, convolve, indicator
 from tilekit.verify import is_tiling
-from conftest import box_pair, hnf_lattices, reference_convolution
+from conftest import box_pair, canonical_residues, hnf_lattices, reference_convolution
 
 
 def test_hnf_identity_is_canonical():
@@ -173,7 +177,6 @@ def test_quotient_residues():
     assert q.residues == ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
     assert Lattice.identity(3).quotient().residues == ((0, 0, 0),)
     assert Lattice.diagonal([6]).quotient().residues == tuple((i,) for i in range(6))
-    assert q.add((1, 0, 0), (1, 1, 0)) == (0, 1, 0)
 
 
 def test_stabilizer_examples():
@@ -363,6 +366,91 @@ def test_periodic_set_refine_and_same_set():
     assert fine.same_set(a)
     assert not fine.same_set(a.translate((1,)))
     assert fine.on_stabilizer().lattice == Lattice.diagonal([2])
+
+
+@st.composite
+def _set_cases(draw):
+    """A lattice from hnf_lattices(24) or Z/1 .. Z/256, vectors whose residues
+    are the members (on index up to 64, half of the time closed under a drawn
+    shift, so that stabilizers beyond the lattice occur), a vector, a
+    sublattice, and a second set on the sublattice: the first set
+    re-presented, the first set moved by the vector, or drawn."""
+    lat = draw(st.one_of(hnf_lattices(24, dim=draw(st.sampled_from((2, 3, 1)))),
+                         st.integers(1, 256).map(lambda n: Lattice.diagonal([n]))))
+    d = lat.dim
+    vector = st.tuples(*[st.integers(-40, 40)] * d)
+    vectors = draw(st.lists(vector, max_size=10))
+    if vectors and lat.index() <= 64 and draw(st.booleans()):
+        shift = draw(vector)
+        for x in vectors[:]:
+            for k in range(1, lat.index()):
+                vectors.append(vadd(x, vscale(k, shift)))
+    scales = [draw(st.sampled_from((2, 1, 3))) for _ in range(d)]
+    extra = [draw(st.integers(-2, 2)) for _ in range(d)]
+    columns = [vscale(k, c) for k, c in zip(scales, lat.basis)]
+    columns.append(tuple(sum(e * c[i] for e, c in zip(extra, lat.basis)) for i in range(d)))
+    sub = hnf(d, columns)
+    second = draw(st.sampled_from(("same", "moved", "drawn")))
+    return lat, vectors, draw(vector), sub, second, draw(st.lists(vector, max_size=10))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_set_cases())
+def test_periodic_set_operations_match_frozenset_reference(case):
+    # The reference keeps members as a frozenset of canonical residues found
+    # with Lattice.reduce and enumerates residues with itertools.product; it
+    # shares no code with the masks.
+    lat, vectors, v, sub, second, other_vectors = case
+    ref = frozenset(lat.reduce(x) for x in vectors)
+    aset = PeriodicSet.make(lat, vectors)
+    assert aset.members == ref
+    with pytest.raises(InputContractError):
+        PeriodicSet.make(lat, vectors + [v + (0,)])
+    assert aset.sorted_members == tuple(sorted(ref))
+    assert aset.contains(v) == (lat.reduce(v) in ref)
+    moved_ref = frozenset(lat.reduce(vadd(m, v)) for m in ref)
+    moved = aset.translate(v)
+    assert moved.lattice == lat and moved.members == moved_ref
+    assert aset.density() == Fraction(len(ref), lat.index())
+
+    fine = aset.refine(sub)
+    assert fine.lattice == sub
+    assert fine.members == {r for r in canonical_residues(sub) if lat.reduce(r) in ref}
+
+    # A + r lies in A exactly when A + r = A, as translation is one-to-one
+    stab = hnf(lat.dim, list(lat.basis) + [r for r in canonical_residues(lat)
+                                           if all(lat.reduce(vadd(m, r)) in ref for m in ref)])
+    assert stabilizer(aset) == stab
+    on = aset.on_stabilizer()
+    assert on.lattice == stab and on.members == {stab.reduce(m) for m in ref}
+
+    assert dict(indicator(aset).values) == {r: int(r in ref) for r in canonical_residues(lat)}
+    support = PeriodicRationalFunction.make(lat, {r: 1 for r in ref}).support_set()
+    assert support.lattice == lat and support.members == ref
+
+    if second == "drawn":
+        other = PeriodicSet.make(sub, other_vectors)
+        in_other = {sub.reduce(x) for x in other_vectors}.__contains__
+    else:
+        base, base_ref = (aset, ref) if second == "same" else (moved, moved_ref)
+        other = base.refine(sub)
+        in_other = lambda r: lat.reduce(r) in base_ref
+    same = all(in_other(r) == (lat.reduce(r) in ref) for r in canonical_residues(sub))
+    assert other.same_set(aset) == same and aset.same_set(other) == same
+
+    again = PeriodicSet.make(lat, list(reversed(vectors)) + [lat.reduce(x) for x in vectors])
+    assert again == aset and hash(again) == hash(aset)
+    assert (moved == aset) == (moved_ref == ref)
+    assert (fine == aset) == (sub == lat)
+    assert pickle.loads(pickle.dumps(aset)) == aset
+
+
+def test_sweep_output_survives_a_pickle_round_trip():
+    out = search_periodic_cotile(box_pair(), 8)
+    back = pickle.loads(pickle.dumps(out))
+    assert back == out
+    assert [(lat.basis, a.sorted_members) for lat, a in back] == \
+        [(lat.basis, a.sorted_members) for lat, a in out]
 
 
 def test_enumerate_points_pinned_order():

@@ -200,7 +200,7 @@ def _periodic_sets(draw):
             if r not in members:
                 members.add(r)
                 frontier.append(r)
-    return PeriodicSet(lat, frozenset(members))
+    return PeriodicSet.make(lat, members)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
