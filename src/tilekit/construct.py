@@ -175,6 +175,4 @@ def equiv_condition(tile, max_index):
     _, aset = found[0]
     brothers = brother_tiles(tile, aset)
     star_tuple = TileTuple.make(list(brothers)[:tile.dim - 2] + [tile])
-    if not has_property_star(star_tuple):
-        raise InternalError("certificate tuple lacks span uniqueness; bug")
     return PeriodicityCertificate(tile, aset, brothers, star_tuple)

@@ -205,8 +205,8 @@ class Lattice:
     def quotient(self):
         """Z^dim / L with residues in mixed-radix order (full rank only).
 
-        Equal lattices share one QuotientGroup, and with it its residues,
-        index_of and translation tables: the QUOTIENT_CACHE most recently used
+        Equal lattices share one QuotientGroup, and with it its residues and
+        translation tables: the QUOTIENT_CACHE most recently used
         quotients are kept in a module-level cache, not on the lattice, so a
         lattice that outlives its computation does not pin them.
         """
@@ -265,16 +265,16 @@ class QuotientGroup:
     Residue number a has digits a_i in [0, pivot_i) with the first coordinate
     varying fastest: a = a_0 + p_0 * (a_1 + p_1 * (a_2 + ...)).  This class is
     the only code that knows that order, which a function's numerators and
-    the bits of a PeriodicSet's mask follow; residues and index_of are built
-    on first use.  Translation tables asked for with keep, as convolution
-    does, are kept once built, as tuples, up to TABLE_CELLS residue numbers
-    in all; beyond that the oldest tables are dropped first, so a large
-    quotient or many distinct shifts cannot grow memory without limit.
-    rows, for the cover search, and the stabilizer probes keep none, as a
-    sweep meets every lattice once.  Lattice.quotient() shares one instance
-    per lattice; SearchProblem.build makes its own for solve_quotient, so a
-    sweep shares only the quotients of the sets it decodes.  Nothing here
-    refers back to the instance, so it forms no reference cycle.
+    the bits of a PeriodicSet's mask follow: numbers is its one encoder and
+    decode its one decoder, and neither builds the residues tuple.  Translation
+    tables asked for with keep, as convolution does, are kept once built, as
+    tuples, up to TABLE_CELLS residue numbers in all; beyond that the oldest
+    tables are dropped first, so a large quotient or many distinct shifts
+    cannot grow memory without limit.  rows, for the cover search, and the
+    stabilizer probes keep none, as a sweep meets every lattice once.
+    Lattice.quotient() shares one instance per lattice; SearchProblem.build
+    makes its own for solve_quotient.  Nothing here refers back to the
+    instance, so it forms no reference cycle.
     """
 
     def __init__(self, lattice):
@@ -285,18 +285,11 @@ class QuotientGroup:
 
     @cached_property
     def residues(self):
-        # tuple() of a list allocates at the final size; from a generator it
-        # resizes, and CPython's tuple free list then never reuses the result
-        return tuple([digits[::-1] for digits in
-                      itertools.product(*[range(p) for p in reversed(self.pivots)])])
-
-    @cached_property
-    def index_of(self):
-        return {r: i for i, r in enumerate(self.residues)}
+        return tuple(self.decode(range(len(self))))
 
     def numbers(self, vectors):
         """Residue numbers of the integer vectors, each reduced on the way as
-        Lattice.reduce does, read off the digits without residues or index_of."""
+        Lattice.reduce does, read off the digits without residues."""
         pivots, basis = self.pivots, self.lattice.basis
         down = range(len(pivots) - 1, -1, -1)
         out = []
@@ -315,6 +308,15 @@ class QuotientGroup:
                 a = a * p + x
             out.append(a)
         return tuple(out)
+
+    def decode(self, numbers):
+        """The canonical residues of a sequence of residue numbers, as a list,
+        read off the digits one coordinate at a time for all the numbers."""
+        columns, stride = [], 1
+        for p in self.pivots:
+            columns.append([a // stride % p for a in numbers])
+            stride *= p
+        return list(zip(*columns)) if columns else [()] * len(numbers)
 
     def rows(self, numbers):
         """Translation tables of the residues with the given numbers, keyed by
@@ -489,14 +491,16 @@ class PeriodicSet:
 
     @property
     def members(self):
-        return frozenset(map(self.lattice.quotient().residues.__getitem__, _bits(self.mask)))
+        return frozenset(self.lattice.quotient().decode(_bits(self.mask)))
 
     @property
     def sorted_members(self):
-        return tuple(sorted(self.members))
+        return tuple(sorted(self.lattice.quotient().decode(_bits(self.mask))))
 
     def contains(self, v):
-        return self.mask >> self.lattice.quotient().index_of[self.lattice.reduce(v)] & 1 == 1
+        if len(v) != self.dim:
+            raise InputContractError(f"vector {v} does not have dimension {self.dim}")
+        return self.mask >> self.lattice.quotient().numbers([v])[0] & 1 == 1
 
     def translate(self, v):
         table = self.lattice.quotient().translation(v)
@@ -550,7 +554,6 @@ def label_stabilizer(lat, labels):
     candidate already in found costs one set lookup.
     """
     quotient = lat.quotient()
-    residues = quotient.residues
     classes = {}
     for a, label in enumerate(labels):
         classes.setdefault(label, []).append(a)
@@ -558,14 +561,15 @@ def label_stabilizer(lat, labels):
     rare = by_size[0]
     tested = [a for cls in by_size[:-1] for a in cls]
     expected = [labels[a] for a in tested]
-    x0 = residues[rare[0]]
     found = lat
     coset = {rare[0]}   # numbers of the residues x with x - x0 in found
     moves = []          # translation tables of the shifts added to found
-    for a in rare:
+    cells = quotient.decode(rare)
+    x0 = cells[0]
+    for a, x in zip(rare, cells):
         if a in coset:
             continue
-        v = vsub(residues[a], x0)
+        v = vsub(x, x0)
         table = quotient.translation(v, keep=False)
         if [labels[table[b]] for b in tested] != expected:
             continue

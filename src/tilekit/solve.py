@@ -128,10 +128,7 @@ def solve_quotient(tiles, lat, mode="all"):
         for a in reversed(providers[y]):
             if not masks[a] & covered:
                 stack.append((covered | masks[a], chosen | 1 << a))
-    if not found:
-        return []
-    residues = quotient.residues
-    found.sort(key=lambda chosen: sorted([residues[a] for a in _bits(chosen)]))
+    found.sort(key=lambda chosen: sorted(quotient.decode(_bits(chosen))))
     return [PeriodicSet(lat, chosen) for chosen in found]
 
 
@@ -143,14 +140,13 @@ def brute_force_quotient(tiles, lat):
     to subsets of the forced cardinality index/|F| (a tiling of a finite group
     satisfies |F| * |A| = |G| by counting).
     """
-    quotient = lat.quotient()
-    residues = quotient.residues
+    residues = lat.quotient().residues
+    index_of = {r: a for a, r in enumerate(residues)}
     n = len(residues)
     k = len(tiles.tiles)
     covers = []
     for tile in tiles:
-        res = [lat.reduce(p) for p in tile.sorted_points]
-        covers.append([tuple(quotient.index_of[lat.reduce(vadd(r, f))] for f in res)
+        covers.append([tuple(index_of[lat.reduce(vadd(r, f))] for f in tile.sorted_points)
                        for r in residues])
 
     full_mask = (1 << n) - 1
@@ -218,23 +214,21 @@ def search_periodic_cotile(tiles, max_index, mode="all"):
     stabilizer is larger was already found on S, at a smaller index; each
     co-tile is thus kept once, on its stabilizer.  In the "first" mode the
     first solution is on its stabilizer for the same reason, and the sweep
-    stops there.  Returns (stabilizer, set) pairs.
+    stops there.  Returns (stabilizer, set) pairs by index, basis and sorted_members.
     """
     if mode not in ("all", "first"):
         raise InputContractError("mode must be 'all' or 'first'")
     if max_index < 1:
         raise InputContractError("max_index must be positive")
-    d = tiles.dim
     size = tiles[0].size
     out = []
     for n in range(size, max_index + 1, size):
-        for lat in enumerate_sublattices(d, n):
+        for lat in enumerate_sublattices(tiles.dim, n):
             for aset in solve_quotient(tiles, lat, mode=mode):
                 if _on_stabilizer(aset):
                     out.append((lat, aset))
                     if mode == "first":
                         return out
-    out.sort(key=lambda pair: (pair[0].index(), pair[0].basis, pair[1].sorted_members))
     return out
 
 
@@ -261,6 +255,9 @@ class ZTilingResult:
         return self.tiles
 
 
+Z_DECIDER_MAX_DIAM = 24  # search_Z_cotile walks 2^diam states; the README gives its cost
+
+
 def search_Z_cotile(tile):
     """Decide whether a finite normalized subset of Z tiles the integers.
 
@@ -276,6 +273,8 @@ def search_Z_cotile(tile):
     if not tile.is_normalized:
         raise InputContractError("tile must contain 0; normalize it first")
     diam = tile.diameter()
+    if diam > Z_DECIDER_MAX_DIAM:
+        raise InputContractError(f"tile diameter {diam} is above {Z_DECIDER_MAX_DIAM}")
     bound = 2 ** (diam + 1)
     size = tile.size
     diffs = {abs(a[0] - b[0]) for a in tile.points for b in tile.points if a != b}
@@ -397,9 +396,7 @@ class _Recoder:
         self.full = hnf(dim, gamma0.basis + (tuple(v),))
         if not self.full.is_full_rank:
             raise InternalError("transversal vector does not complete the rank")
-        quotient = self.full.quotient()
-        self.domain = quotient.residues
-        self.index_of = quotient.index_of
+        self.quotient = self.full.quotient()
         (self.normal,) = _integer_kernel(gamma0.basis, dim)
         self.height = sum(a * b for a, b in zip(self.normal, v))
 
@@ -434,7 +431,7 @@ def periodic_point_from_constraints(constraints, gamma0, ambient):
     # the transversal: the first point of `ambient` off span(gamma0)
     v = avoid_subspaces(ambient, [RationalSubspace.from_vectors(dim, gamma0.basis)])
     rec = _Recoder(gamma0, v)
-    domain = rec.domain
+    domain = rec.quotient.residues
     m = len(domain)
 
     compiled = []
@@ -444,7 +441,7 @@ def periodic_point_from_constraints(constraints, gamma0, ambient):
             items = []
             for f in tile.sorted_points:
                 n_off, u_prime = rec.split(vsub(u, f))
-                items.append((n_off, rec.index_of[u_prime]))
+                items.append((n_off, rec.quotient.numbers([u_prime])[0]))
                 offsets.append(n_off)
             t = target(u)
             if t.denominator != 1:
@@ -471,7 +468,7 @@ def periodic_point_from_constraints(constraints, gamma0, ambient):
     mask = 0
     for a, r in enumerate(out_lattice.quotient().residues):
         n, u = rec.split(r)
-        mask |= letters[n % p][rec.index_of[u]] << a
+        mask |= letters[n % p][rec.quotient.numbers([u])[0]] << a
     return PeriodicSet(out_lattice, mask)
 
 

@@ -186,14 +186,14 @@ class PeriodicRationalFunction:
     def make(lattice, mapping):
         """The function with the given values on canonical residues of lattice
         and 0 on the residues the mapping leaves out."""
-        index_of = _quotient(lattice).index_of
-        values = [Fraction(0)] * len(index_of)
-        for r, v in mapping.items():
-            a = index_of.get(r)
-            if a is None:
-                raise InputContractError(f"{r} is not a canonical residue of {lattice}")
-            values[a] = Fraction(v)
-        return _from_fractions(lattice, values)
+        quotient, keys = _quotient(lattice), list(mapping)
+        numbers = quotient.numbers([r for r in keys if len(r) == lattice.dim])
+        if len(numbers) < len(keys) or quotient.decode(numbers) != keys:
+            for r in keys:
+                if len(r) != lattice.dim or quotient.decode(quotient.numbers([r])) != [r]:
+                    raise InputContractError(f"{r} is not a canonical residue of {lattice}")
+        values = dict(zip(numbers, map(Fraction, mapping.values())))
+        return _from_fractions(lattice, [values.get(a, 0) for a in range(len(quotient))])
 
     @staticmethod
     def constant(lattice, c):
@@ -220,8 +220,9 @@ class PeriodicRationalFunction:
         return {r: Fraction(n, den) for r, n in zip(self.lattice.quotient().residues, self.nums)}
 
     def __call__(self, v):
-        lat = self.lattice
-        return Fraction(self.nums[lat.quotient().index_of[lat.reduce(v)]], self.den)
+        if len(v) != self.dim:
+            raise InputContractError(f"vector {v} does not have dimension {self.dim}")
+        return Fraction(self.nums[self.lattice.quotient().numbers([v])[0]], self.den)
 
     def shift(self, v):
         """The function x -> f(x + v)."""

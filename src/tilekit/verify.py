@@ -27,8 +27,8 @@ def _report(quotient, sums, target, den):
     is reported at its residue with the value sum / den."""
     if sums.count(target) == len(sums):
         return TilingReport(True, ())
-    residues = quotient.residues
-    missed = sorted((residues[a], s) for a, s in enumerate(sums) if s != target)
+    numbers = [a for a, s in enumerate(sums) if s != target]
+    missed = sorted(zip(quotient.decode(numbers), [sums[a] for a in numbers]))
     return TilingReport(False, tuple((r, Fraction(s, den)) for r, s in missed[:DEFECT_CAP]))
 
 

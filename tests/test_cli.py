@@ -15,6 +15,7 @@ from tilekit import cli, jsonio
 from tilekit.cli import main
 from tilekit.errors import InternalError
 from tilekit.lattice import Lattice, PeriodicSet
+from tilekit.solve import Z_DECIDER_MAX_DIAM
 from tilekit.tiles import Tile, TileTuple
 from conftest import FIXTURES
 
@@ -418,6 +419,18 @@ def test_not_a_cotile_message_prints_rationals(capsys):
 def _write(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_solve_z_above_the_diameter_bound_is_contract_violation(capsys, tmp_path):
+    # refused before the 2^diam automaton states are allocated; a tile at the
+    # bound takes tens of seconds, so none is run here
+    diam = Z_DECIDER_MAX_DIAM + 1
+    tile = _write(tmp_path / "tile.json", {"kind": "tile", "dim": 1,
+                                           "points": [[0], [1], [diam]]})
+    code, out, err = run(capsys, "solve-z", "--tile", tile)
+    assert code == 2 and out == ""
+    assert err == (f"tilekit: input contract violation: tile diameter {diam} "
+                   f"is above {Z_DECIDER_MAX_DIAM}\n")
 
 
 def test_zp_ring_inverse_above_the_limit_is_contract_violation(capsys, tmp_path):

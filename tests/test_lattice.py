@@ -15,6 +15,7 @@ from tilekit.lattice import (
     TABLE_CELLS,
     Lattice,
     PeriodicSet,
+    QuotientGroup,
     enumerate_points,
     enumerate_sublattices,
     hnf,
@@ -210,6 +211,34 @@ def test_stabilizer_of_domino_cotile_on_40_torus():
     assert indicator(aset).stabilizer() == expected
 
 
+def test_sweep_and_torus_stabilizer_build_no_residue_tuple(monkeypatch):
+    # Reading k members decodes k residue numbers, so neither a sweep nor the
+    # stabilizer and members of the domino co-tile on 40Z x 40Z build any
+    # quotient's tuple of all residues.
+    builds = []
+    residues = QuotientGroup.residues
+
+    def counted(quotient):
+        builds.append(quotient.lattice)
+        return residues.func(quotient)
+
+    monkeypatch.setattr(QuotientGroup, "residues", property(counted))
+    assert len(search_periodic_cotile(box_pair(), 12)) == 76
+    aset = PeriodicSet.make(Lattice.diagonal([40, 40]),
+                            [(x, y) for x in range(0, 40, 2) for y in range(40)])
+    assert stabilizer(aset) == hnf(2, [(2, 0), (0, 1)])
+    assert len(aset.members) == 800 and aset.sorted_members[:2] == ((0, 0), (0, 1))
+    assert builds == []
+    assert len(Lattice.diagonal([40, 40]).quotient().residues) == 1600
+    assert len(builds) == 1
+
+
+def _residue_order(lat):
+    """The canonical residues in residue-number order, first coordinate
+    fastest, sorted from itertools.product: no code shared with numbers or decode."""
+    return sorted(canonical_residues(lat), key=lambda r: r[::-1])
+
+
 def _reference_stabilizer(lat, label):
     """Every residue shift that keeps the label of every residue, by brute force."""
     residues = list(itertools.product(*[range(p) for p in lat.pivots]))
@@ -244,17 +273,21 @@ def test_translation_table_matches_reduce(lat, v):
     q = lat.quotient()
     table = q.translation(v)
     assert sorted(table) == list(range(len(q)))
-    for a, r in enumerate(q.residues):
-        assert table[a] == q.index_of[lat.reduce(vadd(r, v))]
+    order = _residue_order(lat)
+    index = {r: a for a, r in enumerate(order)}
+    for a, r in enumerate(order):
+        assert table[a] == index[lat.reduce(vadd(r, v))]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(hnf_lattices(60), st.lists(st.tuples(*[st.integers(-200, 200)] * 3), max_size=6))
 def test_residue_number_matches_residue_order(lat, vectors):
     q = lat.quotient()
-    assert q.numbers(q.residues) == tuple(range(len(q)))
+    order = _residue_order(lat)
+    assert q.numbers(order) == tuple(range(len(q)))
+    index = {r: a for a, r in enumerate(order)}
     vectors = [v[:lat.dim] for v in vectors]
-    assert q.numbers(vectors) == tuple(q.index_of[lat.reduce(v)] for v in vectors)
+    assert q.numbers(vectors) == tuple(index[lat.reduce(v)] for v in vectors)
 
 
 @st.composite
@@ -270,13 +303,17 @@ def _unit_first_pivot(draw):
                  _unit_first_pivot()),
        st.lists(st.tuples(*[st.integers(-300, 300)] * 3), min_size=1, max_size=6))
 def test_numbers_and_rows_match_reduce(lat, vectors):
-    # The reference reduces every sum with Lattice.reduce and looks it up in
-    # index_of; it shares no code with the projection or the walk.
+    # The reference reduces every sum with Lattice.reduce and numbers it by
+    # its place in _residue_order; it shares no code with the projection, the
+    # walk or the decoder.
     q = lat.quotient()
-    residues, index_of = q.residues, q.index_of
+    residues = _residue_order(lat)
+    index_of = {r: a for a, r in enumerate(residues)}
+    assert list(q.residues) == residues
     vectors = [v[:lat.dim] for v in vectors]
     numbers = q.numbers(vectors)
     assert numbers == tuple(index_of[lat.reduce(v)] for v in vectors)
+    assert q.decode(numbers) == [lat.reduce(v) for v in vectors]
     rows = q.rows(set(numbers))
     assert sorted(rows) == sorted(set(numbers))
     for y, row in rows.items():
@@ -406,6 +443,8 @@ def test_periodic_set_operations_match_frozenset_reference(case):
     assert aset.members == ref
     with pytest.raises(InputContractError):
         PeriodicSet.make(lat, vectors + [v + (0,)])
+    with pytest.raises(InputContractError):
+        aset.contains(v + (0,))
     assert aset.sorted_members == tuple(sorted(ref))
     assert aset.contains(v) == (lat.reduce(v) in ref)
     moved_ref = frozenset(lat.reduce(vadd(m, v)) for m in ref)

@@ -153,6 +153,9 @@ def test_make_rejects_a_key_that_is_not_a_canonical_residue():
     lat = Lattice.diagonal([2])
     with pytest.raises(InputContractError, match="not a canonical residue"):
         PeriodicRationalFunction.make(lat, {(0,): 1, (2,): 0})
+    for key in [(0, 0), (0.5,)]:
+        with pytest.raises(InputContractError, match="not a canonical residue"):
+            PeriodicRationalFunction.make(lat, {key: 1})
     assert PeriodicRationalFunction.make(lat, {(1,): 3}).values == {(0,): 0, (1,): 3}
 
 
