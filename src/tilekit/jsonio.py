@@ -2,9 +2,12 @@
 
 Every document carries a "kind" discriminator so any consumer subcommand can
 re-read what another subcommand emitted.  Rationals travel as "p/q" strings
-(plain integers stay integers).  Non-canonical input (unordered generators,
-unreduced members, repeated function values) is canonicalized on load; two
-different values for one residue are an input error.
+(plain integers stay integers).  Every integer of a document (coordinates,
+dimensions, weights, moduli) goes through one reader, which takes an
+integer-valued float such as 1.0 as that integer.  Non-canonical input
+(unordered generators, unreduced members, repeated function values) is
+canonicalized on load; two different values for one residue are an input
+error.
 """
 
 from __future__ import annotations
@@ -48,6 +51,26 @@ def parse_rational(x):
     except (ValueError, OverflowError):
         pass
     raise InputContractError(f"not a rational number: {x!r}")
+
+
+def _integer(x):
+    """x as an int: a JSON integer, or a float with an integer value such as
+    1.0; anything else, a bool among them, is an InputContractError.  The
+    one reader for the integers of a document."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise InputContractError(f"{x!r} is not an integer")
+
+
+def _vector(v):
+    v = tuple(v)
+    # a vector of plain ints, the common case, skips the call per entry
+    return v if _INT.issuperset(map(type, v)) else tuple(map(_integer, v))
+
+
+_INT = {int}
 
 
 def to_document(obj, comment=None):
@@ -114,30 +137,30 @@ def from_document(doc):
     kind = _infer_kind(doc)
     body = _strip(doc)
     if kind == "lattice":
-        return hnf(body["dim"], [tuple(c) for c in body["basis"]])
+        return hnf(_integer(body["dim"]), [_vector(c) for c in body["basis"]])
     if kind == "periodic_set":
         lat = from_document(body["lattice"])
-        return PeriodicSet.make(lat, [tuple(m) for m in body["members"]])
+        return PeriodicSet.make(lat, [_vector(m) for m in body["members"]])
     if kind == "tile":
-        return Tile.make(body["dim"], [tuple(p) for p in body["points"]])
+        return Tile.make(_integer(body["dim"]), [_vector(p) for p in body["points"]])
     if kind == "tile_tuple":
         return TileTuple.make([from_document(t) for t in body["tiles"]])
     if kind == "weighted_tile":
-        return WeightedTile.make(body["dim"],
-                                 {tuple(p): w for p, w in body["entries"]})
+        return WeightedTile.make(_integer(body["dim"]),
+                                 {_vector(p): _integer(w) for p, w in body["entries"]})
     if kind == "function":
         lat = from_document(body["lattice"])
         values = {}
         for r, v in body["values"]:
-            r, v = lat.reduce(tuple(r)), parse_rational(v)
+            r, v = lat.reduce(_vector(r)), parse_rational(v)
             if values.setdefault(r, v) != v:
                 raise InputContractError(f"residue {r} has two values, {values[r]} and {v}")
         return PeriodicRationalFunction.make(lat, values)
     if kind == "mixed_tile":
-        return MixedTile.make(body["p"], [tuple(p) for p in body["points"]])
+        return MixedTile.make(_integer(body["p"]), [_vector(p) for p in body["points"]])
     if kind == "mixed_periodic_set":
-        return MixedPeriodicSet.make(body["p"], body["period"],
-                                     [tuple(m) for m in body["members"]])
+        return MixedPeriodicSet.make(_integer(body["p"]), _integer(body["period"]),
+                                     [_vector(m) for m in body["members"]])
     raise InputContractError(f"unknown kind {kind!r}")
 
 

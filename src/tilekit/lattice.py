@@ -270,7 +270,7 @@ class QuotientGroup:
     tables asked for with keep, as convolution does, are kept once built, as
     tuples, up to TABLE_CELLS residue numbers in all; beyond that the oldest
     tables are dropped first, so a large quotient or many distinct shifts
-    cannot grow memory without limit.  rows, for the cover search, and the
+    cannot grow memory without limit.  heads, for the cover search, and the
     stabilizer probes keep none, as a sweep meets every lattice once.
     Lattice.quotient() shares one instance per lattice; SearchProblem.build
     makes its own for solve_quotient.  Nothing here refers back to the
@@ -318,33 +318,31 @@ class QuotientGroup:
             stride *= p
         return list(zip(*columns)) if columns else [()] * len(numbers)
 
-    def rows(self, numbers):
-        """Translation tables of the residues with the given numbers, keyed by
-        number: row y lists the number of residues[y] + residues[a] for each a.
+    def heads(self, numbers):
+        """Head rows of the residues with the given numbers, keyed by number:
+        row y lists the number of residues[y] + residues[B * p_0] for each of
+        the n / p_0 blocks B, the heads of the digit-0 blocks, in order.
 
-        Digit 0 never carries (basis column 0 is p_0 e_0), so the cells y +
-        a_0 e_0 are y's block of p_0 numbers, rotated.  One walk then serves
-        all m rows: their cells, interleaved, move p_k - 1 times along the
-        table of each basis step e_k, and every move appends a copy, so row i
-        is every m-th entry from i on, in residue order.
+        One walk serves all m rows: their cells, interleaved, start at the
+        numbers themselves and move p_k - 1 times along the table of each
+        basis step e_k, k >= 1, and every move appends a copy, so row i is
+        every m-th entry from i on.  Digit 0 never carries (basis column 0 is
+        p_0 e_0), so residues[y] + residues[B * p_0 + t] is entry B of row y
+        rotated by t inside its block of p_0 numbers.
         """
         pivots = self.pivots
-        p0, d = pivots[0], len(pivots)
         numbers = list(numbers)
-        rows = [list(range(y, y - y % p0 + p0)) + list(range(y - y % p0, y)) for y in numbers]
-        steps = [k for k in range(1, d) if pivots[k] > 1]
-        if steps:
-            walked = list(itertools.chain.from_iterable(zip(*rows)))
-            for k in steps:
-                step = self.translation([int(t == k) for t in range(d)], keep=False)
+        walked = numbers[:]
+        for k in range(1, len(pivots)):
+            if pivots[k] > 1:
+                step = self.translation([int(t == k) for t in range(len(pivots))], keep=False)
                 run = walked
                 walked = walked[:]
                 for _ in range(pivots[k] - 1):
                     run = [step[x] for x in run]
                     walked += run
-            m = len(numbers)
-            rows = [walked[i::m] for i in range(m)]
-        return dict(zip(numbers, rows))
+        m = len(numbers)
+        return {y: walked[i::m] for i, y in enumerate(numbers)}
 
     def translation(self, v, keep=True):
         """Translation by the integer vector v as a permutation of residue numbers.

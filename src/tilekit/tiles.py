@@ -52,9 +52,14 @@ class Tile:
         """Points with the origin removed."""
         return self.points - {(0,) * self.dim}
 
-    @property
+    @cached_property
     def sorted_points(self):
         return tuple(sorted(self.points))
+
+    @cached_property
+    def negated_points(self):
+        """The negatives of sorted_points, in that order."""
+        return tuple(vneg(f) for f in self.sorted_points)
 
     @property
     def sorted_star(self):

@@ -85,6 +85,28 @@ def hnf_lattices(draw, max_index, dim=None):
     return Lattice(d, tuple(tuple(c) for c in cols))
 
 
+@st.composite
+def _unit_first_pivot(draw):
+    """3-D lattices of index <= 24 with p_0 = 1: every digit-0 block is one cell."""
+    p1 = draw(st.integers(1, 24))
+    p2 = draw(st.integers(1, 24 // p1))
+    return Lattice(3, ((1, 0, 0), (0, p1, 0), (0, draw(st.integers(0, p1 - 1)), p2)))
+
+
+def placement_lattices():
+    """Lattices for the oracles of the cover search's placements: canonical
+    ones of index <= 24 in dimension 1 to 3, Z/n up to 256 (one block of n
+    numbers) and 3-D ones with p_0 = 1 (n blocks of one number)."""
+    return st.one_of(hnf_lattices(24), st.integers(1, 256).map(lambda n: Lattice.diagonal([n])),
+                     _unit_first_pivot())
+
+
+def residue_order(lat):
+    """The canonical residues in residue-number order, first coordinate
+    fastest, sorted from itertools.product: no code shared with numbers or decode."""
+    return sorted(canonical_residues(lat), key=lambda r: r[::-1])
+
+
 # ---------------------------------------------------------------------------
 # An oracle for exact convolution that shares no code with tiles.convolve:
 # residues are enumerated from the pivots, every shift goes through

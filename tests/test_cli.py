@@ -392,6 +392,14 @@ def test_verify_unequal_sizes_prints_a_plain_note(tmp_path):
                           "so no joint co-tile can exist\n")
 
 
+def test_package_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-m", "tilekit", "--help"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0 and run.stderr == ""
+    assert run.stdout.startswith("usage: ") and "solve-z" in run.stdout
+
+
 def test_verify_level_on_a_tuple_that_holds_and_on_one_tile(capsys):
     code, out, _ = run(capsys, "verify", "--json",
                        "--tiles", fx("box_pair_z3_tiles.json"),
@@ -459,6 +467,33 @@ def test_zero_denominator_is_usage_error(capsys, tmp_path):
     assert err == f"tilekit: cannot parse {path}: zero denominator in '1/0'\n"
 
 
+def test_document_integers_read_integer_valued_floats_only(capsys, tmp_path):
+    # 1.0 reads as 1 wherever a document holds an integer; 0.5, true and "1"
+    # are not integers, which makes a document that cannot be built
+    def tile(points):
+        return _write(tmp_path / "tile.json", {"kind": "tile", "dim": 1, "points": points})
+
+    def pset(members):
+        return _write(tmp_path / "pset.json", {
+            "kind": "periodic_set", "members": members,
+            "lattice": {"kind": "lattice", "dim": 1.0, "basis": [[2.0]]}})
+
+    def results(path, *commands):
+        return [run(capsys, *argv, path) for argv in commands]
+
+    tile_commands = (("solve", "--max-index", "4", "--all", "--tiles"), ("solve-z", "--tile"))
+    assert results(tile([[0], [1.0]]), *tile_commands) == results(tile([[0], [1]]), *tile_commands)
+    set_commands = (("stabilizer", "--cotile"), ("verify", "--tiles", fx("six_block_tile.json"),
+                                                 "--cotile"))
+    assert results(pset([[0.0]]), *set_commands) == results(pset([[0]]), *set_commands)
+    for bad, text in ((0.5, "0.5"), (True, "True"), ("1", "'1'")):
+        for path, commands in ((tile([[0], [bad]]), tile_commands),
+                               (pset([[bad]]), set_commands)):
+            for code, out, err in results(path, *commands):
+                assert (code, out) == (1, "")
+                assert err == f"tilekit: cannot parse {path}: {text} is not an integer\n"
+
+
 def test_conflicting_function_values_are_usage_error(capsys, tmp_path):
     # on 2Z the entries [0] -> 1 and [2] -> 0 name one residue; loading them
     # as the zero function would make verify report defects of 0
@@ -483,6 +518,19 @@ def _assert_no_escape(argv, docs):
 
 
 _BAD_VALUES = ("1/0", "-2/0", "1/-0", "x", "", "1e999", float("inf"), True, None, [1])
+
+
+def _floated(doc, rng, rate=0.05):
+    """doc with now and then an integer written as a float: an integer-valued
+    one such as 2.0, which reads as that integer, or one such as 2.5, which is
+    not an integer."""
+    if isinstance(doc, dict):
+        return {k: _floated(v, rng, rate) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_floated(v, rng, rate) for v in doc]
+    if type(doc) is int and rng.random() < rate:
+        return doc + rng.choice((0.0, 0.5))
+    return doc
 
 
 def _lattice_document(rng, dim):
@@ -517,7 +565,9 @@ def _function_documents(draw):
     entries = [[points[i], values[i]] for i in rng.choices(range(len(points)), k=rng.randint(0, 5))]
     if rng.random() < 0.25:
         entries.insert(rng.randint(0, len(entries)), [rng.choice(points), rng.choice(_BAD_VALUES)])
-    return {"kind": "function", "lattice": _lattice_document(rng, dim), "values": entries}
+    doc = {"kind": "function", "lattice": _lattice_document(rng, dim), "values": entries}
+    floats = random.Random(draw(st.integers(0, 2 ** 32)))
+    return _floated(doc, floats) if floats.random() < 1 / 3 else doc
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
@@ -618,10 +668,12 @@ def _cli_documents(draw):
     weighted = {"kind": "weighted_tile", "dim": dim,
                 "entries": [[p, rng.randint(-1, 2)] for p in _points(rng, dim, rng.randint(1, 3))]}
     mixed_tile, mixed_set = _mixed_documents(rng)
-    return {"tile": tile, "tuple": {"kind": "tile_tuple", "tiles": tiles}, "pset": pset,
+    docs = {"tile": tile, "tuple": {"kind": "tile_tuple", "tiles": tiles}, "pset": pset,
             "pieces": pieces, "gamma0": gamma0, "weighted": weighted,
             "mixed_tile": mixed_tile, "mixed_set": mixed_set,
             "max_index": str(rng.randint(1, 6)), "p": str(rng.choice((mixed_tile["p"], 3)))}
+    floats = random.Random(draw(st.integers(0, 2 ** 32)))
+    return _floated(docs, floats) if floats.random() < 1 / 3 else docs
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,

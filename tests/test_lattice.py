@@ -26,7 +26,14 @@ from tilekit.lattice import (
 from tilekit.solve import search_periodic_cotile
 from tilekit.tiles import PeriodicRationalFunction, WeightedTile, convolve, indicator
 from tilekit.verify import is_tiling
-from conftest import box_pair, canonical_residues, hnf_lattices, reference_convolution
+from conftest import (
+    box_pair,
+    canonical_residues,
+    hnf_lattices,
+    placement_lattices,
+    reference_convolution,
+    residue_order,
+)
 
 
 def test_hnf_identity_is_canonical():
@@ -233,12 +240,6 @@ def test_sweep_and_torus_stabilizer_build_no_residue_tuple(monkeypatch):
     assert len(builds) == 1
 
 
-def _residue_order(lat):
-    """The canonical residues in residue-number order, first coordinate
-    fastest, sorted from itertools.product: no code shared with numbers or decode."""
-    return sorted(canonical_residues(lat), key=lambda r: r[::-1])
-
-
 def _reference_stabilizer(lat, label):
     """Every residue shift that keeps the label of every residue, by brute force."""
     residues = list(itertools.product(*[range(p) for p in lat.pivots]))
@@ -273,7 +274,7 @@ def test_translation_table_matches_reduce(lat, v):
     q = lat.quotient()
     table = q.translation(v)
     assert sorted(table) == list(range(len(q)))
-    order = _residue_order(lat)
+    order = residue_order(lat)
     index = {r: a for a, r in enumerate(order)}
     for a, r in enumerate(order):
         assert table[a] == index[lat.reduce(vadd(r, v))]
@@ -283,45 +284,41 @@ def test_translation_table_matches_reduce(lat, v):
 @given(hnf_lattices(60), st.lists(st.tuples(*[st.integers(-200, 200)] * 3), max_size=6))
 def test_residue_number_matches_residue_order(lat, vectors):
     q = lat.quotient()
-    order = _residue_order(lat)
+    order = residue_order(lat)
     assert q.numbers(order) == tuple(range(len(q)))
     index = {r: a for a, r in enumerate(order)}
     vectors = [v[:lat.dim] for v in vectors]
     assert q.numbers(vectors) == tuple(index[lat.reduce(v)] for v in vectors)
 
 
-@st.composite
-def _unit_first_pivot(draw):
-    """3-D lattices of index <= 24 with p_0 = 1: every digit-0 block is one cell."""
-    p1 = draw(st.integers(1, 24))
-    p2 = draw(st.integers(1, 24 // p1))
-    return Lattice(3, ((1, 0, 0), (0, p1, 0), (0, draw(st.integers(0, p1 - 1)), p2)))
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.one_of(hnf_lattices(24), st.integers(1, 256).map(lambda n: Lattice.diagonal([n])),
-                 _unit_first_pivot()),
-       st.lists(st.tuples(*[st.integers(-300, 300)] * 3), min_size=1, max_size=6))
-def test_numbers_and_rows_match_reduce(lat, vectors):
+@given(placement_lattices(), st.lists(st.tuples(*[st.integers(-300, 300)] * 3), min_size=1, max_size=6))
+def test_numbers_and_heads_match_reduce(lat, vectors):
     # The reference reduces every sum with Lattice.reduce and numbers it by
-    # its place in _residue_order; it shares no code with the projection, the
+    # its place in residue_order; it shares no code with the projection, the
     # walk or the decoder.
     q = lat.quotient()
-    residues = _residue_order(lat)
+    residues = residue_order(lat)
     index_of = {r: a for a, r in enumerate(residues)}
     assert list(q.residues) == residues
     vectors = [v[:lat.dim] for v in vectors]
     numbers = q.numbers(vectors)
     assert numbers == tuple(index_of[lat.reduce(v)] for v in vectors)
     assert q.decode(numbers) == [lat.reduce(v) for v in vectors]
-    rows = q.rows(set(numbers))
+    n, p0 = len(q), lat.pivots[0]
+    rows = q.heads(set(numbers))
     assert sorted(rows) == sorted(set(numbers))
     for y, row in rows.items():
-        assert row == [index_of[lat.reduce(vadd(residues[a], residues[y]))]
-                       for a in range(len(q))]
-    for row in rows.values():
-        (back,) = q.rows([row.index(0)]).values()
-        assert [back[c] for c in row] == list(range(len(q)))
+        assert row == [index_of[lat.reduce(vadd(residues[h], residues[y]))]
+                       for h in range(0, n, p0)]
+    # rotating each head entry by t inside its block of p_0 numbers gives the
+    # whole translation row, and the row of -y inverts it
+    for y, row in rows.items():
+        whole = [h - h % p0 + (h + t) % p0 for h in row for t in range(p0)]
+        assert whole == [index_of[lat.reduce(vadd(residues[a], residues[y]))] for a in range(n)]
+        (back,) = q.heads([whole.index(0)]).values()
+        back = [h - h % p0 + (h + t) % p0 for h in back for t in range(p0)]
+        assert [back[c] for c in whole] == list(range(n))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -21,6 +21,7 @@ from tilekit.lattice import (
 from tilekit.solve import (
     _cycle_letters,
     _on_stabilizer,
+    _Placements,
     _Recoder,
     AllDPeriodic,
     SearchProblem,
@@ -35,7 +36,14 @@ from tilekit.solve import (
 )
 from tilekit.tiles import Tile, TileTuple
 from tilekit import verify
-from conftest import box_cotile, box_pair, hnf_lattices, six_block
+from conftest import (
+    box_cotile,
+    box_pair,
+    hnf_lattices,
+    placement_lattices,
+    residue_order,
+    six_block,
+)
 
 
 def test_solve_quotient_box_pair_all():
@@ -135,6 +143,39 @@ def test_solve_matches_brute_force_on_drawn_hnf_lattices(instance):
     assert hnf(lat.dim, lat.basis) == lat and lat.index() <= 12
     assert ([s.members for s in solve_quotient(tiles, lat, mode="all")]
             == [s.members for s in brute_force_quotient(tiles, lat)])
+
+
+@st.composite
+def _placement_instances(draw):
+    lat = draw(placement_lattices())
+    d = lat.dim
+    point = st.tuples(*[st.integers(-6, 6)] * d)
+    tiles = [Tile.make(d, {(0,) * d} | draw(st.sets(point, max_size=4)))
+             for _ in range(draw(st.integers(1, 2)))]
+    return TileTuple.make(tiles), lat, draw(st.permutations(range(lat.index())))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_placement_instances())
+def test_placements_match_per_point_reduce(instance):
+    # The reference builds each placement's mask point by point: every sum
+    # a + f goes through Lattice.reduce and is numbered by its place in
+    # residue_order, so it shares no code with the head rows or the rotation.
+    tiles, lat, order = instance
+    residues = residue_order(lat)
+    index_of = {r: a for a, r in enumerate(residues)}
+    n = len(residues)
+    placements = _Placements(SearchProblem.build(tiles, lat))
+    assert placements.masks == [None] * n
+    for a in order:  # masks are made on first use, in any order
+        ref = 0
+        for i, tile in enumerate(tiles):
+            for f in tile.sorted_points:
+                ref |= 1 << (i * n + index_of[lat.reduce(vadd(residues[a], f))])
+        assert placements.mask(a) == ref and placements.masks[a] == ref
+    for y, r in enumerate(residues):
+        assert placements.providers(y) == [index_of[lat.reduce(vsub(r, f))]
+                                           for f in tiles[0].sorted_points]
 
 
 def test_solve_quotient_depth_beyond_recursion_limit():
