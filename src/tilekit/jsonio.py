@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 from .errors import InputContractError
-from .lattice import Lattice, PeriodicSet, hnf
+from .lattice import Lattice, PeriodicSet, _integer, _integers, hnf
 from .tiles import PeriodicRationalFunction, Tile, TileTuple, WeightedTile
 from .torsion import MixedPeriodicSet, MixedTile
 
@@ -51,26 +51,6 @@ def parse_rational(x):
     except (ValueError, OverflowError):
         pass
     raise InputContractError(f"not a rational number: {x!r}")
-
-
-def _integer(x):
-    """x as an int: a JSON integer, or a float with an integer value such as
-    1.0; anything else, a bool among them, is an InputContractError.  The
-    one reader for the integers of a document."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    raise InputContractError(f"{x!r} is not an integer")
-
-
-def _vector(v):
-    v = tuple(v)
-    # a vector of plain ints, the common case, skips the call per entry
-    return v if _INT.issuperset(map(type, v)) else tuple(map(_integer, v))
-
-
-_INT = {int}
 
 
 def to_document(obj, comment=None):
@@ -137,30 +117,30 @@ def from_document(doc):
     kind = _infer_kind(doc)
     body = _strip(doc)
     if kind == "lattice":
-        return hnf(_integer(body["dim"]), [_vector(c) for c in body["basis"]])
+        return hnf(_integer(body["dim"]), [_integers(c) for c in body["basis"]])
     if kind == "periodic_set":
         lat = from_document(body["lattice"])
-        return PeriodicSet.make(lat, [_vector(m) for m in body["members"]])
+        return PeriodicSet.make(lat, [_integers(m) for m in body["members"]])
     if kind == "tile":
-        return Tile.make(_integer(body["dim"]), [_vector(p) for p in body["points"]])
+        return Tile.make(_integer(body["dim"]), [_integers(p) for p in body["points"]])
     if kind == "tile_tuple":
         return TileTuple.make([from_document(t) for t in body["tiles"]])
     if kind == "weighted_tile":
         return WeightedTile.make(_integer(body["dim"]),
-                                 {_vector(p): _integer(w) for p, w in body["entries"]})
+                                 {_integers(p): _integer(w) for p, w in body["entries"]})
     if kind == "function":
         lat = from_document(body["lattice"])
         values = {}
         for r, v in body["values"]:
-            r, v = lat.reduce(_vector(r)), parse_rational(v)
+            r, v = lat.reduce(_integers(r)), parse_rational(v)
             if values.setdefault(r, v) != v:
                 raise InputContractError(f"residue {r} has two values, {values[r]} and {v}")
         return PeriodicRationalFunction.make(lat, values)
     if kind == "mixed_tile":
-        return MixedTile.make(_integer(body["p"]), [_vector(p) for p in body["points"]])
+        return MixedTile.make(_integer(body["p"]), [_integers(p) for p in body["points"]])
     if kind == "mixed_periodic_set":
         return MixedPeriodicSet.make(_integer(body["p"]), _integer(body["period"]),
-                                     [_vector(m) for m in body["members"]])
+                                     [_integers(m) for m in body["members"]])
     raise InputContractError(f"unknown kind {kind!r}")
 
 

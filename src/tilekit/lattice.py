@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import InputContractError, RankDeficientError
@@ -43,6 +44,27 @@ class Infinite:
 
 
 INFINITE = Infinite()
+
+
+def _integer(x):
+    """x as an int: an int, or a float with an integer value such as 1.0;
+    anything else, a bool among them, is an InputContractError.  The one
+    reader for the integers of a document and of a weighted tile."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise InputContractError(f"{x!r} is not an integer")
+
+
+def _integers(values):
+    """The values as a tuple of ints, each read by _integer; plain ints, the
+    common case, skip the call per entry."""
+    values = tuple(values)
+    return values if _INT.issuperset(map(type, values)) else tuple(map(_integer, values))
+
+
+_INT = {int}
 
 
 def vadd(u, v):
@@ -206,13 +228,15 @@ class Lattice:
         """Z^dim / L with residues in mixed-radix order (full rank only).
 
         Equal lattices share one QuotientGroup, and with it its residues and
-        translation tables: the QUOTIENT_CACHE most recently used
-        quotients are kept in a module-level cache, not on the lattice, so a
-        lattice that outlives its computation does not pin them.
+        translation tables, in the solver and every other layer.  They are
+        kept in a module-level cache, not on the lattice, so a lattice that
+        outlives its computation does not pin them; the least recently used
+        go first once their residues plus kept table cells pass
+        QUOTIENT_BUDGET.
         """
         if not self.is_full_rank:
             raise RankDeficientError("quotient requires a full-rank lattice")
-        return _shared_quotient(self)
+        return _quotients.get(self.basis, self)
 
     def scale(self, r):
         """The sublattice r * L."""
@@ -250,13 +274,36 @@ class Lattice:
         return f"Lattice(dim={self.dim}, basis={list(map(list, self.basis))})"
 
 
-QUOTIENT_CACHE = 32      # quotients kept by Lattice.quotient
 TABLE_CELLS = 1 << 16    # residue numbers kept in one quotient's translation tables
+QUOTIENT_BUDGET = 32 * TABLE_CELLS  # residue numbers kept by Lattice.quotient, in all
+SUBLATTICE_CACHE = 4096  # lattices kept by enumerate_sublattices, in all
 
 
-@lru_cache(maxsize=QUOTIENT_CACHE)
-def _shared_quotient(lattice):
-    return QuotientGroup(lattice)
+class _Cache:
+    """Values by key, made by make(*args) when missing, least recently used
+    first.  While their sizes, size(value), sum to more than limit, the
+    first go; the value used last always stays."""
+
+    def __init__(self, limit, make, size):
+        self.limit, self.make, self.size = limit, make, size
+        self.values, self.held = OrderedDict(), 0   # held: the sizes, summed
+
+    def get(self, key, *args):
+        value = self.values.get(key)
+        if value is None:
+            value = self.values[key] = self.make(*args)
+            self.grow(key, value, self.size(value))
+        else:
+            self.values.move_to_end(key)
+        return value
+
+    def grow(self, key, value, by):
+        """Count value as `by` larger while it is the one kept for key."""
+        values = self.values
+        if values.get(key) is value:
+            self.held += by
+            while self.held > self.limit and len(values) > 1:
+                self.held -= self.size(values.popitem(last=False)[1])
 
 
 class QuotientGroup:
@@ -270,11 +317,11 @@ class QuotientGroup:
     tables asked for with keep, as convolution does, are kept once built, as
     tuples, up to TABLE_CELLS residue numbers in all; beyond that the oldest
     tables are dropped first, so a large quotient or many distinct shifts
-    cannot grow memory without limit.  heads, for the cover search, and the
-    stabilizer probes keep none, as a sweep meets every lattice once.
-    Lattice.quotient() shares one instance per lattice; SearchProblem.build
-    makes its own for solve_quotient.  Nothing here refers back to the
-    instance, so it forms no reference cycle.
+    cannot grow memory without limit.  heads keeps its basis-step tables for
+    the next sweep; the stabilizer probes keep none.  Lattice.quotient()
+    shares one instance per lattice with every layer, the cover search
+    among them, within the one QUOTIENT_BUDGET.  Nothing here refers back
+    to the instance, so it forms no reference cycle.
     """
 
     def __init__(self, lattice):
@@ -328,14 +375,15 @@ class QuotientGroup:
         basis step e_k, k >= 1, and every move appends a copy, so row i is
         every m-th entry from i on.  Digit 0 never carries (basis column 0 is
         p_0 e_0), so residues[y] + residues[B * p_0 + t] is entry B of row y
-        rotated by t inside its block of p_0 numbers.
+        rotated by t inside its block of p_0 numbers.  The step tables are
+        kept, and charged to QUOTIENT_BUDGET, for the next sweep.
         """
         pivots = self.pivots
         numbers = list(numbers)
         walked = numbers[:]
         for k in range(1, len(pivots)):
             if pivots[k] > 1:
-                step = self.translation([int(t == k) for t in range(len(pivots))], keep=False)
+                step = self.translation([int(t == k) for t in range(len(pivots))])
                 run = walked
                 walked = walked[:]
                 for _ in range(pivots[k] - 1):
@@ -368,11 +416,12 @@ class QuotientGroup:
     def _keep(self, key, table):
         if len(table) > TABLE_CELLS:
             return
-        tables = self.tables
+        tables, before = self.tables, self.table_cells
         while self.table_cells + len(table) > TABLE_CELLS:
             self.table_cells -= len(tables.pop(next(iter(tables))))
         tables[key] = table
         self.table_cells += len(table)
+        _quotients.grow(self.lattice.basis, self, self.table_cells - before)
 
     def _table(self, k, g):
         """Translation table of the first k coordinates by the vector g."""
@@ -400,6 +449,9 @@ class QuotientGroup:
         return iter(self.residues)
 
 
+_quotients = _Cache(QUOTIENT_BUDGET, QuotientGroup, lambda q: len(q) + q.table_cells)
+
+
 def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -414,13 +466,20 @@ def _ordered_factorizations(n, length):
 
 
 def enumerate_sublattices(dim, n):
-    """All full-rank sublattices of Z^dim with index exactly n, canonically sorted.
+    """All full-rank sublattices of Z^dim with index exactly n, canonically
+    sorted, as a new list on each call.
 
     Enumerates canonical bases directly: positive pivots with product n on the
     diagonal, the entry at row i of a later column ranging over [0, pivot_i).
+    The lattices are kept as a tuple, up to SUBLATTICE_CACHE in all, so a
+    repeated sweep meets the same lattices and their kept quotients.
     """
     if n < 1:
         raise InputContractError("index must be positive")
+    return list(_sublattices.get((dim, n), dim, n))
+
+
+def _sorted_sublattices(dim, n):
     out = []
     for pivots in _ordered_factorizations(n, dim):
         slots = [(i, j) for j in range(dim) for i in range(j)]
@@ -432,8 +491,10 @@ def enumerate_sublattices(dim, n):
             for (i, j), val in zip(slots, fill):
                 cols[j][i] = val
             out.append(Lattice(dim, tuple(tuple(c) for c in cols)))
-    out.sort(key=lambda lat: lat.basis)
-    return out
+    return tuple(sorted(out, key=lambda lat: lat.basis))
+
+
+_sublattices = _Cache(SUBLATTICE_CACHE, _sorted_sublattices, len)
 
 
 def enumerate_points(lat):

@@ -19,7 +19,6 @@ from .errors import (
     NoCycleError,
     NotACotileError,
     NotAPartitionError,
-    RankDeficientError,
 )
 from .lattice import (
     Lattice,
@@ -55,11 +54,11 @@ class SearchProblem:
 
     @staticmethod
     def build(tiles, lat):
+        """Project on lat.quotient(), shared with the keep test's decoding and
+        with later sweeps, which reuse its step tables within QUOTIENT_BUDGET."""
         if tiles.dim != lat.dim:
             raise InputContractError("tiles and lattice have different dimensions")
-        if not lat.is_full_rank:
-            raise RankDeficientError("quotient search needs a full-rank lattice")
-        quotient = QuotientGroup(lat)  # uncached, so a sweep evicts no shared quotient
+        quotient = lat.quotient()
         projected = []
         injective = []
         for tile in tiles:
@@ -395,23 +394,23 @@ def independent_cotile_index_bound(tiles):
 # ---------------------------------------------------------------------------
 
 
-def _cycle_letters(m, window, legal):
+def _cycle_letters(alphabet, window, extensions):
     """Letters spelled along a cycle of the block graph of a one-dimensional
     window-constraint system, or None when the graph has no cycle.
 
-    Letters are the {0,1} patterns on m cells, in itertools.product order;
-    legal(word) decides a window-length word.  Nodes are (window-1)-words and
-    each legal window is an edge from its prefix to its suffix, so every cycle
-    spells a periodic sequence satisfying all constraints.  The graph is
-    walked lazily: depth first from each node in lexicographic order, finding
-    a node's successors only when the walk reaches it.
+    Letters are the {0,1} patterns of alphabet; extensions(node) yields, in
+    alphabet order, the letters a that make node + (a,) a legal window.
+    Nodes are (window-1)-words and each legal window is an edge from its
+    prefix to its suffix, so every cycle spells a periodic sequence
+    satisfying all constraints.  The graph is walked lazily: depth first
+    from each node in lexicographic order, finding a node's successors only
+    when the walk reaches it.
     """
-    alphabet = tuple(itertools.product((0, 1), repeat=m))
     if window <= 1:
-        return next(((a,) for a in alphabet if legal((a,))), None)
+        return next(((a,) for a in extensions(())), None)
 
     def successors(node):
-        return (node[1:] + (a,) for a in alphabet if legal(node + (a,)))
+        return (node[1:] + (a,) for a in extensions(node))
 
     color = {}  # 1 while on the current path, 2 once fully explored
     for start in itertools.product(alphabet, repeat=window - 1):
@@ -505,14 +504,19 @@ def periodic_point_from_constraints(constraints, gamma0, ambient):
 
     if m * max(window, 1) > 22:  # more than 2^22 windows of 2^m letters each
         raise InputContractError("block graph too large for this fixture scale")
+    # per constraint: its cells in a node, those in the letter after it, its target
+    split = [([(n - lo, u) for n, u in items if n < hi], [u for n, u in items if n == hi], t)
+             for items, t in compiled]
+    alphabet = tuple(itertools.product((0, 1), repeat=m))
 
-    def legal(word):
-        for items, t in compiled:
-            if sum(word[n_off - lo][ui] for n_off, ui in items) != t:
-                return False
-        return True
+    def extensions(node):
+        need = [(last, t - sum(node[i][u] for i, u in inner)) for inner, last, t in split]
+        if any(rest for last, rest in need if not last):
+            return ()
+        need = [(last, rest) for last, rest in need if last]
+        return (a for a in alphabet if all(sum(a[u] for u in last) == rest for last, rest in need))
 
-    letters = _cycle_letters(m, window, legal)
+    letters = _cycle_letters(alphabet, window, extensions)
     if letters is None:
         raise NoCycleError("constraint system admits no periodic sequence; "
                            "the input contract must have been violated")

@@ -19,7 +19,8 @@ from operator import add
 from types import MappingProxyType
 
 from .errors import InputContractError, RankDeficientError
-from .lattice import Lattice, PeriodicSet, _mask, label_stabilizer, vadd, vneg, vsub, vscale
+from .lattice import (Lattice, PeriodicSet, _integers, _mask, label_stabilizer, vadd, vneg, vsub,
+                      vscale)
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,8 @@ class WeightedTile:
 
     @staticmethod
     def make(dim, mapping):
-        entries = tuple(sorted((tuple(p), int(w)) for p, w in mapping.items() if w))
+        weights = _integers(mapping.values())   # each checked before zeros drop
+        entries = tuple(sorted((tuple(p), w) for p, w in zip(mapping, weights) if w))
         for p, _ in entries:
             if len(p) != dim:
                 raise InputContractError(f"point {p} does not have dimension {dim}")

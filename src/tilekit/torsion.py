@@ -243,7 +243,7 @@ def cotile_conclusion(tile, aset):
     lcm = math.lcm(*(v.denominator for v in inverse.values))
     ind = indicator(aset.lifted())
     conv = convolve(WeightedTile.make(2, {(0, t): 1 for t in f0}), ind)
-    back = WeightedTile.make(2, {(0, t): v * lcm for t, v in enumerate(inverse.values)})
+    back = WeightedTile.make(2, {(0, t): int(v * lcm) for t, v in enumerate(inverse.values)})
     if convolve(back, conv) != ind.scale(lcm):
         raise InternalError("ring-inverse round trip failed to recover the "
                             "indicator; this is a bug")

@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 from tilekit.errors import InputContractError, RankDeficientError
 from tilekit.lattice import (
     INFINITE,
-    QUOTIENT_CACHE,
+    QUOTIENT_BUDGET,
     TABLE_CELLS,
     Lattice,
     PeriodicSet,
     QuotientGroup,
+    _quotients,
     enumerate_points,
     enumerate_sublattices,
     hnf,
@@ -24,7 +25,7 @@ from tilekit.lattice import (
     vscale,
 )
 from tilekit.solve import search_periodic_cotile
-from tilekit.tiles import PeriodicRationalFunction, WeightedTile, convolve, indicator
+from tilekit.tiles import PeriodicRationalFunction, Tile, TileTuple, WeightedTile, convolve, indicator
 from tilekit.verify import is_tiling
 from conftest import (
     box_pair,
@@ -177,6 +178,29 @@ def test_enumerate_sublattices_counts():
         assert len(set(lats)) == len(lats)
         assert all(lat.index() == n for lat in lats)
         assert all(hnf(2, lat.basis) == lat for lat in lats)
+
+
+def test_enumerate_sublattices_match_closed_form_counts():
+    # The closed forms for the number of sublattices of index n: 1 in Z,
+    # sigma(n) in Z^2, and the sum over m | n of m * sigma(m) in Z^3 (m the
+    # index of the first two coordinates' lattice; the last column's two
+    # upper entries then take m values).  Every call returns a new list.
+    def divisors(n):
+        return [d for d in range(1, n + 1) if n % d == 0]
+
+    def sigma(n):
+        return sum(divisors(n))
+
+    for n in range(1, 37):
+        expected = {1: 1, 2: sigma(n), 3: sum(m * sigma(m) for m in divisors(n))}
+        for dim, count in expected.items():
+            first = enumerate_sublattices(dim, n)
+            assert len(first) == count, (dim, n)
+            again = enumerate_sublattices(dim, n)
+            assert type(again) is list and again == first and again is not first
+            first.reverse()
+            first.append(Lattice.identity(dim))
+            assert enumerate_sublattices(dim, n) == again
 
 
 def test_quotient_residues():
@@ -536,14 +560,22 @@ def test_translation_cache_stays_within_its_bound():
     assert q.table_cells == sum(len(t) for t in q.tables.values()) <= TABLE_CELLS
 
 
-def test_convolution_and_verification_leave_no_garbage():
-    # shared quotients and their tables must not form reference cycles; more
-    # lattices than the quotient cache holds, so that some are dropped
+def _held():
+    """The residue numbers the quotient cache holds, summed afresh."""
+    return sum(len(q) + q.table_cells for q in _quotients.values.values())
+
+
+def test_convolution_and_verification_leave_no_garbage(monkeypatch):
+    # shared quotients and their tables must not form reference cycles; the
+    # budget is lowered below what these lattices hold, so that some
+    # quotients are dropped
+    monkeypatch.setattr(_quotients, "limit", 4000)
+    first = Lattice.diagonal([2, 2, 10])
     box = box_pair()[0]
     gc.collect()
     gc.disable()
     try:
-        for n in range(QUOTIENT_CACHE + 10):
+        for n in range(42):
             lat = Lattice.diagonal([2, 2, 10 + n])
             aset = PeriodicSet.make(lat, [(0, 0, k) for k in range(10 + n)])
             assert convolve(box, indicator(aset)) == 1
@@ -551,6 +583,73 @@ def test_convolution_and_verification_leave_no_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+    assert first.basis not in _quotients.values
+    assert _quotients.held == _held() <= 4000
+
+
+def test_a_second_sweep_builds_no_quotient(monkeypatch):
+    # Candidate lattices, their quotients and the quotients' basis-step
+    # tables depend only on (dim, index), so a sweep of another tuple of Z^3
+    # to the same index reuses the first sweep's: counted as
+    # test_sweep_and_torus_stabilizer_build_no_residue_tuple counts residue
+    # tuples.
+    assert len(search_periodic_cotile(box_pair(), 12)) == 76
+    builds = []
+    init, table = QuotientGroup.__init__, QuotientGroup._table
+
+    def counted(quotient, lattice):
+        builds.append(lattice)
+        init(quotient, lattice)
+
+    def counted_table(quotient, k, g):
+        builds.append((quotient.lattice, g))
+        return table(quotient, k, g)
+
+    monkeypatch.setattr(QuotientGroup, "__init__", counted)
+    monkeypatch.setattr(QuotientGroup, "_table", counted_table)
+    f1, f2 = box_pair()
+    assert len(search_periodic_cotile(TileTuple.make([f2, f1]), 12)) == 76
+    assert builds == []
+
+
+def test_quotient_budget_holds_across_a_sweep_and_a_torus(monkeypatch):
+    # The index-24 sweep of the box pair holds ~142,000 residue numbers in
+    # its quotients, more than this lowered budget, so it drops some of its
+    # own; its answer does not change and the budget holds, also after the
+    # domino co-tile on 40Z x 40Z keeps its translation tables.
+    budget = 50_000
+    monkeypatch.setattr(_quotients, "limit", budget)
+    assert len(search_periodic_cotile(box_pair(), 24)) == 844
+    assert _quotients.held == _held() <= budget
+    torus = Lattice.diagonal([40, 40])
+    domino = Tile.make(2, [(0, 0), (1, 0)])
+    aset = PeriodicSet.make(torus, [(x, y) for x in range(0, 40, 2) for y in range(40)])
+    assert is_tiling(domino, aset)
+    assert convolve(domino, indicator(aset)) == 1
+    assert torus.quotient().table_cells > 0
+    assert _quotients.values[torus.basis] is torus.quotient()
+    assert _quotients.held == _held() <= budget
+    assert QUOTIENT_BUDGET <= 32 * TABLE_CELLS   # the worst case of 32 quotients' tables
+
+
+def test_an_evicted_quotient_is_rebuilt_equal(monkeypatch):
+    lat = hnf(3, [(2, 0, 0), (1, 3, 0), (1, 2, 4)])
+    q = lat.quotient()
+    rng = random.Random(23)
+    vectors = [tuple(rng.randrange(-30, 30) for _ in range(3)) for _ in range(40)]
+    shifts = vectors[:6] + [(0, 1, 0), (0, 0, 1)]
+    numbers = q.numbers(vectors)
+    tables = [q.translation(v) for v in shifts]
+    heads = q.heads(range(len(q)))
+    monkeypatch.setattr(_quotients, "limit", 0)   # keeps only the last quotient
+    Lattice.diagonal([5]).quotient()
+    assert lat.basis not in _quotients.values
+    rebuilt = lat.quotient()
+    assert rebuilt is not q and rebuilt.table_cells == 0
+    assert rebuilt.numbers(vectors) == numbers
+    assert [rebuilt.translation(v) for v in shifts] == tables
+    assert rebuilt.heads(range(len(q))) == heads
+    assert _quotients.held == _held() == len(rebuilt) + rebuilt.table_cells
 
 
 @st.composite

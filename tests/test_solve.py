@@ -402,10 +402,16 @@ class _EagerBlockGraph:
         return None
 
 
+def _extensions(alphabet, legal):
+    """_cycle_letters' extensions from a predicate on whole window words."""
+    return lambda node: (a for a in alphabet if legal(node + (a,)))
+
+
 def test_block_graph_cycle():
-    letters = _cycle_letters(1, 2, lambda w: w[0] != w[1])
+    alphabet = ((0,), (1,))
+    letters = _cycle_letters(alphabet, 2, _extensions(alphabet, lambda w: w[0] != w[1]))
     assert sorted(letters) == [(0,), (1,)]
-    assert _cycle_letters(1, 2, lambda w: False) is None
+    assert _cycle_letters(alphabet, 2, _extensions(alphabet, lambda w: False)) is None
 
 
 @st.composite
@@ -432,7 +438,7 @@ def test_cycle_letters_matches_eager_block_graph(system):
     expected = _EagerBlockGraph(alphabet, window, legal).cycle_letters()
     eager_calls = len(calls)
     calls.clear()
-    assert _cycle_letters(m, window, legal) == expected
+    assert _cycle_letters(alphabet, window, _extensions(alphabet, legal)) == expected
     assert len(calls) <= eager_calls
 
 

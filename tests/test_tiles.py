@@ -118,6 +118,19 @@ def test_function_stabilizer():
     assert PeriodicRationalFunction.constant(lat, 5).stabilizer() == Lattice.identity(1)
 
 
+def test_weighted_tile_weights_follow_the_document_integer_rule():
+    # each weight is checked before zero weights are dropped: 1.0 reads as 1,
+    # while 1.5, 0.5, a bool or a string is an input error, not a truncation
+    g = WeightedTile.make(1, {(0,): 1.0, (1,): 0.0, (2,): -2})
+    assert g.entries == (((0,), 1), ((2,), -2))
+    assert type(g.entries[0][1]) is int
+    for bad in (1.5, 0.5, True, "1"):
+        with pytest.raises(InputContractError, match="is not an integer"):
+            WeightedTile.make(1, {(0,): bad, (1,): 1})
+    with pytest.raises(InputContractError):
+        WeightedTile.make(1, {(0,): 1.5, (1,): 0.5})
+
+
 def test_weighted_tile_signed_combination():
     # difference of two one-dimensional indicators through the same code path
     lat = Lattice.diagonal([18])
