@@ -137,10 +137,9 @@ def from_document(doc):
                 raise InputContractError(f"residue {r} has two values, {values[r]} and {v}")
         return PeriodicRationalFunction.make(lat, values)
     if kind == "mixed_tile":
-        return MixedTile.make(_integer(body["p"]), [_integers(p) for p in body["points"]])
+        return MixedTile.make(body["p"], body["points"])
     if kind == "mixed_periodic_set":
-        return MixedPeriodicSet.make(_integer(body["p"]), _integer(body["period"]),
-                                     [_integers(m) for m in body["members"]])
+        return MixedPeriodicSet.make(body["p"], body["period"], body["members"])
     raise InputContractError(f"unknown kind {kind!r}")
 
 

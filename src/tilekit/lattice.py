@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -227,16 +226,15 @@ class Lattice:
     def quotient(self):
         """Z^dim / L with residues in mixed-radix order (full rank only).
 
-        Equal lattices share one QuotientGroup, and with it its residues and
-        translation tables, in the solver and every other layer.  They are
-        kept in a module-level cache, not on the lattice, so a lattice that
-        outlives its computation does not pin them; the least recently used
-        go first once their residues plus kept table cells pass
-        QUOTIENT_BUDGET.
+        Equal lattices share one QuotientGroup in the solver and every other
+        layer.  It is kept in a module-level cache, not on the lattice, so a
+        lattice that outlives its computation does not pin it; the cache
+        counts each quotient as its index and drops the oldest quotients and
+        translation tables once QUOTIENT_BUDGET is passed.
         """
         if not self.is_full_rank:
             raise RankDeficientError("quotient requires a full-rank lattice")
-        return _quotients.get(self.basis, self)
+        return _quotients.get(self.basis, QuotientGroup, self)
 
     def scale(self, r):
         """The sublattice r * L."""
@@ -274,36 +272,27 @@ class Lattice:
         return f"Lattice(dim={self.dim}, basis={list(map(list, self.basis))})"
 
 
-TABLE_CELLS = 1 << 16    # residue numbers kept in one quotient's translation tables
-QUOTIENT_BUDGET = 32 * TABLE_CELLS  # residue numbers kept by Lattice.quotient, in all
-SUBLATTICE_CACHE = 4096  # lattices kept by enumerate_sublattices, in all
+QUOTIENT_BUDGET = 1 << 21  # residue numbers in kept quotients and translation tables
+SUBLATTICE_CACHE = 4096    # lattices kept by enumerate_sublattices, in all
 
 
 class _Cache:
-    """Values by key, made by make(*args) when missing, least recently used
-    first.  While their sizes, size(value), sum to more than limit, the
-    first go; the value used last always stays."""
+    """Values by key, oldest first, each counted as len(value).  get makes a
+    missing value with make(*args); while the counts sum to more than limit
+    the oldest values go, but the value made last always stays."""
 
-    def __init__(self, limit, make, size):
-        self.limit, self.make, self.size = limit, make, size
-        self.values, self.held = OrderedDict(), 0   # held: the sizes, summed
+    def __init__(self, limit):
+        self.limit, self.values, self.held = limit, {}, 0   # held: the counts, summed
 
-    def get(self, key, *args):
-        value = self.values.get(key)
-        if value is None:
-            value = self.values[key] = self.make(*args)
-            self.grow(key, value, self.size(value))
-        else:
-            self.values.move_to_end(key)
-        return value
-
-    def grow(self, key, value, by):
-        """Count value as `by` larger while it is the one kept for key."""
+    def get(self, key, make, *args):
         values = self.values
-        if values.get(key) is value:
-            self.held += by
+        value = values.get(key)
+        if value is None:
+            value = values[key] = make(*args)
+            self.held += len(value)
             while self.held > self.limit and len(values) > 1:
-                self.held -= self.size(values.popitem(last=False)[1])
+                self.held -= len(values.pop(next(iter(values))))
+        return value
 
 
 class QuotientGroup:
@@ -313,22 +302,16 @@ class QuotientGroup:
     varying fastest: a = a_0 + p_0 * (a_1 + p_1 * (a_2 + ...)).  This class is
     the only code that knows that order, which a function's numerators and
     the bits of a PeriodicSet's mask follow: numbers is its one encoder and
-    decode its one decoder, and neither builds the residues tuple.  Translation
-    tables asked for with keep, as convolution does, are kept once built, as
-    tuples, up to TABLE_CELLS residue numbers in all; beyond that the oldest
-    tables are dropped first, so a large quotient or many distinct shifts
-    cannot grow memory without limit.  heads keeps its basis-step tables for
-    the next sweep; the stabilizer probes keep none.  Lattice.quotient()
-    shares one instance per lattice with every layer, the cover search
-    among them, within the one QUOTIENT_BUDGET.  Nothing here refers back
-    to the instance, so it forms no reference cycle.
+    decode its one decoder, and neither builds the residues tuple.  The
+    instance holds no table: translation keeps its tables in the cache of
+    Lattice.quotient(), keyed by basis and shift, so they outlive an evicted
+    quotient and count against the same QUOTIENT_BUDGET.  Nothing here refers
+    back to the instance, so it forms no reference cycle.
     """
 
     def __init__(self, lattice):
         self.lattice = lattice
         self.pivots = lattice.pivots
-        self.tables = {}      # shift -> translation table, oldest first
-        self.table_cells = 0
 
     @cached_property
     def residues(self):
@@ -376,7 +359,7 @@ class QuotientGroup:
         every m-th entry from i on.  Digit 0 never carries (basis column 0 is
         p_0 e_0), so residues[y] + residues[B * p_0 + t] is entry B of row y
         rotated by t inside its block of p_0 numbers.  The step tables are
-        kept, and charged to QUOTIENT_BUDGET, for the next sweep.
+        kept, within QUOTIENT_BUDGET, for the next sweep.
         """
         pivots = self.pivots
         numbers = list(numbers)
@@ -395,33 +378,23 @@ class QuotientGroup:
     def translation(self, v, keep=True):
         """Translation by the integer vector v as a permutation of residue numbers.
 
-        Entry a is the number of lattice.reduce(residues[a] + v).  With keep
-        the table is kept as a tuple and shared by later calls with the same
-        v; without it a table not already kept is built for this call alone
-        and evicts none of the kept ones.  The table is built from the top
+        Entry a is the number of lattice.reduce(residues[a] + v).  A kept
+        table, a tuple, is read straight from the quotient cache.  Otherwise,
+        with keep, the new table is kept there under (basis, v), as convolution
+        and heads want; without it, as the stabilizer probes want, it is built
+        for this call alone and evicts nothing.  The table is built from the top
         coordinate down: a carry out of digit k subtracts basis column k from
         the lower digits, exactly as Lattice.reduce does, so each run of
         residues with equal top digit is a lower-dimensional table for one of
         two vectors.
         """
-        key = tuple(v)
-        table = self.tables.get(key)
+        key = self.lattice.basis, tuple(v)
+        table = _quotients.values.get(key)
         if table is None:
-            table = self._table(len(self.pivots), list(key))
+            table = self._table(len(self.pivots), list(key[1]))
             if keep:
-                table = tuple(table)
-                self._keep(key, table)
+                table = _quotients.get(key, tuple, table)
         return table
-
-    def _keep(self, key, table):
-        if len(table) > TABLE_CELLS:
-            return
-        tables, before = self.tables, self.table_cells
-        while self.table_cells + len(table) > TABLE_CELLS:
-            self.table_cells -= len(tables.pop(next(iter(tables))))
-        tables[key] = table
-        self.table_cells += len(table)
-        _quotients.grow(self.lattice.basis, self, self.table_cells - before)
 
     def _table(self, k, g):
         """Translation table of the first k coordinates by the vector g."""
@@ -449,7 +422,7 @@ class QuotientGroup:
         return iter(self.residues)
 
 
-_quotients = _Cache(QUOTIENT_BUDGET, QuotientGroup, lambda q: len(q) + q.table_cells)
+_quotients = _Cache(QUOTIENT_BUDGET)   # QuotientGroups by basis, tables by (basis, shift)
 
 
 def _divisors(n):
@@ -474,9 +447,11 @@ def enumerate_sublattices(dim, n):
     The lattices are kept as a tuple, up to SUBLATTICE_CACHE in all, so a
     repeated sweep meets the same lattices and their kept quotients.
     """
+    if dim < 1:
+        raise InputContractError("dimension must be positive")
     if n < 1:
         raise InputContractError("index must be positive")
-    return list(_sublattices.get((dim, n), dim, n))
+    return list(_sublattices.get((dim, n), _sorted_sublattices, dim, n))
 
 
 def _sorted_sublattices(dim, n):
@@ -494,7 +469,7 @@ def _sorted_sublattices(dim, n):
     return tuple(sorted(out, key=lambda lat: lat.basis))
 
 
-_sublattices = _Cache(SUBLATTICE_CACHE, _sorted_sublattices, len)
+_sublattices = _Cache(SUBLATTICE_CACHE)
 
 
 def enumerate_points(lat):
@@ -537,12 +512,11 @@ class PeriodicSet:
 
     @staticmethod
     def make(lattice, vectors):
-        if not lattice.is_full_rank:
-            raise RankDeficientError("a periodic set needs a full-rank lattice")
+        quotient = lattice.quotient()
         vectors = [tuple(v) for v in vectors]
         if any(len(v) != lattice.dim for v in vectors):
             raise InputContractError(f"a vector does not have dimension {lattice.dim}")
-        return PeriodicSet(lattice, _mask(lattice.quotient().numbers(vectors)))
+        return PeriodicSet(lattice, _mask(quotient.numbers(vectors)))
 
     @property
     def dim(self):

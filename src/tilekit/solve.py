@@ -54,8 +54,9 @@ class SearchProblem:
 
     @staticmethod
     def build(tiles, lat):
-        """Project on lat.quotient(), shared with the keep test's decoding and
-        with later sweeps, which reuse its step tables within QUOTIENT_BUDGET."""
+        """Project on lat.quotient(), which raises RankDeficientError below
+        full rank.  The keep test's decoding and later sweeps share that
+        quotient, and its step tables, through the quotient cache."""
         if tiles.dim != lat.dim:
             raise InputContractError("tiles and lattice have different dimensions")
         quotient = lat.quotient()

@@ -18,7 +18,7 @@ from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
 
-from .errors import InputContractError, RankDeficientError
+from .errors import InputContractError
 from .lattice import (Lattice, PeriodicSet, _integers, _mask, label_stabilizer, vadd, vneg, vsub,
                       vscale)
 
@@ -193,7 +193,7 @@ class PeriodicRationalFunction:
     def make(lattice, mapping):
         """The function with the given values on canonical residues of lattice
         and 0 on the residues the mapping leaves out."""
-        quotient, keys = _quotient(lattice), list(mapping)
+        quotient, keys = lattice.quotient(), list(mapping)
         numbers = quotient.numbers([r for r in keys if len(r) == lattice.dim])
         if len(numbers) < len(keys) or quotient.decode(numbers) != keys:
             for r in keys:
@@ -206,11 +206,11 @@ class PeriodicRationalFunction:
     def constant(lattice, c):
         c = Fraction(c)
         return PeriodicRationalFunction(
-            lattice, c.denominator, (c.numerator,) * len(_quotient(lattice)))
+            lattice, c.denominator, (c.numerator,) * len(lattice.quotient()))
 
     @staticmethod
     def from_callable(lattice, fn):
-        return _from_fractions(lattice, [Fraction(fn(r)) for r in _quotient(lattice).residues])
+        return _from_fractions(lattice, [Fraction(fn(r)) for r in lattice.quotient().residues])
 
     @property
     def dim(self):
@@ -244,7 +244,7 @@ class PeriodicRationalFunction:
         if not self.lattice.contains_lattice(sub):
             raise InputContractError("refinement lattice is not contained in the current one")
         nums = self.nums
-        numbers = self.lattice.quotient().numbers(_quotient(sub).residues)
+        numbers = self.lattice.quotient().numbers(sub.quotient().residues)
         return PeriodicRationalFunction(sub, self.den, tuple([nums[a] for a in numbers]))
 
     def common_lattice(self, other):
@@ -321,12 +321,6 @@ class PeriodicRationalFunction:
         return f"PeriodicRationalFunction({self.lattice!r}, {{{items}}})"
 
 
-def _quotient(lattice):
-    if not lattice.is_full_rank:
-        raise RankDeficientError("a periodic function needs a full-rank lattice")
-    return lattice.quotient()
-
-
 def _from_fractions(lattice, values):
     """The function with the Fractions `values` in residue order.  Over the
     lcm of the reduced denominators the numerators share no factor with it."""
@@ -348,7 +342,7 @@ def _canonical(lattice, den, nums):
 def indicator(aset):
     """1_A as a periodic rational function on A's presentation lattice."""
     return PeriodicRationalFunction(aset.lattice, 1, tuple(
-        [aset.mask >> a & 1 for a in range(len(_quotient(aset.lattice)))]))
+        [aset.mask >> a & 1 for a in range(len(aset.lattice.quotient()))]))
 
 
 def convolve_ints(g, quotient, values):

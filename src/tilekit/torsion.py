@@ -28,7 +28,7 @@ from fractions import Fraction
 from .errors import (EmptyOrFullError, InputContractError, InternalError, NotACotileError,
                      NotPrimeError)
 from .decompose import is_prime
-from .lattice import Lattice, PeriodicSet, _integer_kernel, hnf, stabilizer
+from .lattice import Lattice, PeriodicSet, _integer, _integer_kernel, _integers, hnf, stabilizer
 from .tiles import Tile, WeightedTile, convolve, indicator
 from . import verify as _verify
 
@@ -112,8 +112,9 @@ class MixedTile:
 
     @staticmethod
     def make(p, points):
+        p = _integer(p)
         _require_prime(p)
-        pts = frozenset((int(n), int(t) % p) for n, t in points)
+        pts = frozenset((n, t % p) for n, t in map(_integers, points))
         if not pts:
             raise InputContractError("a tile must be non-empty")
         return MixedTile(p, pts)
@@ -163,10 +164,11 @@ class MixedPeriodicSet:
 
     @staticmethod
     def make(p, period, members):
+        p, period = _integer(p), _integer(period)
         _require_prime(p)
         if period < 1:
             raise InputContractError("period must be positive")
-        pts = frozenset((int(n) % period, int(t) % p) for n, t in members)
+        pts = frozenset((n % period, t % p) for n, t in map(_integers, members))
         return MixedPeriodicSet(p, period, pts)
 
     def contains(self, n, t):

@@ -99,6 +99,14 @@ def test_solve_requires_max_index(capsys):
     assert "max-index" in err
 
 
+def test_solve_refuses_a_zero_dimensional_tile(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text('{"kind": "tile", "dim": 0, "points": [[]]}')
+    code, out, err = run(capsys, "solve", "--max-index", "3", "--tiles", str(path))
+    assert code == 2 and out == ""
+    assert err == "tilekit: input contract violation: dimension must be positive\n"
+
+
 def test_solve_exhausted_exit_code(capsys):
     code, _, _ = run(capsys, "solve", "--tiles", fx("six_block_tile.json"),
                      "--max-index", "24")

@@ -11,12 +11,11 @@ from hypothesis import given, settings, strategies as st
 from tilekit.errors import InputContractError, RankDeficientError
 from tilekit.lattice import (
     INFINITE,
-    QUOTIENT_BUDGET,
-    TABLE_CELLS,
     Lattice,
     PeriodicSet,
     QuotientGroup,
     _quotients,
+    _sublattices,
     enumerate_points,
     enumerate_sublattices,
     hnf,
@@ -130,6 +129,21 @@ def test_reduce_rank_deficient_raises():
         hnf(2, [(1, 1)]).reduce((0, 0))
 
 
+def test_periodic_constructors_refuse_a_rank_deficient_lattice():
+    # the one rank check is Lattice.quotient()'s
+    line = hnf(2, [(2, 0)])
+    fn = PeriodicRationalFunction.constant(Lattice.diagonal([2, 2]), 1)
+    aset = PeriodicSet.make(Lattice.diagonal([2, 2]), [(0, 0)])
+    for build in (lambda: PeriodicRationalFunction.make(line, {}),
+                  lambda: PeriodicRationalFunction.constant(line, 1),
+                  lambda: PeriodicRationalFunction.from_callable(line, lambda r: 0),
+                  lambda: PeriodicSet.make(line, [(0, 0)]),
+                  lambda: fn.refine(line),
+                  lambda: aset.refine(line)):
+        with pytest.raises(RankDeficientError):
+            build()
+
+
 def test_sum_intersect_examples():
     a = Lattice.diagonal([2, 1])
     b = Lattice.diagonal([1, 2])
@@ -178,6 +192,14 @@ def test_enumerate_sublattices_counts():
         assert len(set(lats)) == len(lats)
         assert all(lat.index() == n for lat in lats)
         assert all(hnf(2, lat.basis) == lat for lat in lats)
+
+
+def test_enumerate_sublattices_refuses_a_dimension_below_one():
+    for dim, n in ((0, 3), (-1, 2), (0, 1)):
+        with pytest.raises(InputContractError):
+            enumerate_sublattices(dim, n)
+    with pytest.raises(InputContractError):
+        search_periodic_cotile(TileTuple.make([Tile.make(0, [()])]), 3)
 
 
 def test_enumerate_sublattices_match_closed_form_counts():
@@ -549,26 +571,37 @@ def test_translation_tables_are_shared_tuples_equal_to_a_fresh_build():
             assert q.translation(list(v)) is table
 
 
-def test_translation_cache_stays_within_its_bound():
+def _held(cache):
+    """What the cache counts, summed afresh."""
+    return sum(len(value) for value in cache.values.values())
+
+
+def _tables_of(lat):
+    """The keys of the translation tables of lat that the quotient cache keeps."""
+    return [key for key, value in _quotients.values.items()
+            if type(value) is tuple and key[0] == lat.basis]
+
+
+def test_translation_cache_stays_within_its_bound(monkeypatch):
+    # one quotient asked for 60 distinct shifts, more tables than the
+    # lowered budget holds: the oldest go, the answer does not change and
+    # the budget holds
     lat = Lattice.diagonal([40, 40])
-    q = lat.quotient()
-    shifts = TABLE_CELLS // len(q) + 2
-    g = WeightedTile.make(2, {(x, 0): 1 for x in range(shifts)})
+    budget = 20 * 1600
+    monkeypatch.setattr(_quotients, "limit", budget)
+    g = WeightedTile.make(2, {(x, 0): 1 for x in range(60)})
     fn = indicator(PeriodicSet.make(lat, [(0, 0)]))
     assert convolve(g, fn).values == reference_convolution(lat, g.entries, fn.values.__getitem__)
-    assert len(q.tables) <= TABLE_CELLS // len(q) < shifts
-    assert q.table_cells == sum(len(t) for t in q.tables.values()) <= TABLE_CELLS
-
-
-def _held():
-    """The residue numbers the quotient cache holds, summed afresh."""
-    return sum(len(q) + q.table_cells for q in _quotients.values.values())
+    kept = _tables_of(lat)
+    assert 0 < len(kept) < 60
+    assert (lat.basis, (-59, 0)) in kept     # the table made last
+    assert _quotients.held == _held(_quotients) <= budget
 
 
 def test_convolution_and_verification_leave_no_garbage(monkeypatch):
-    # shared quotients and their tables must not form reference cycles; the
+    # shared quotients and kept tables must not form reference cycles; the
     # budget is lowered below what these lattices hold, so that some
-    # quotients are dropped
+    # quotients and tables are dropped
     monkeypatch.setattr(_quotients, "limit", 4000)
     first = Lattice.diagonal([2, 2, 10])
     box = box_pair()[0]
@@ -583,8 +616,8 @@ def test_convolution_and_verification_leave_no_garbage(monkeypatch):
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert first.basis not in _quotients.values
-    assert _quotients.held == _held() <= 4000
+    assert first.basis not in _quotients.values and not _tables_of(first)
+    assert _quotients.held == _held(_quotients) <= 4000
 
 
 def test_a_second_sweep_builds_no_quotient(monkeypatch):
@@ -616,20 +649,21 @@ def test_quotient_budget_holds_across_a_sweep_and_a_torus(monkeypatch):
     # The index-24 sweep of the box pair holds ~142,000 residue numbers in
     # its quotients, more than this lowered budget, so it drops some of its
     # own; its answer does not change and the budget holds, also after the
-    # domino co-tile on 40Z x 40Z keeps its translation tables.
+    # domino co-tile on 40Z x 40Z keeps its translation tables.  Both caches
+    # count exactly what they hold.
     budget = 50_000
     monkeypatch.setattr(_quotients, "limit", budget)
     assert len(search_periodic_cotile(box_pair(), 24)) == 844
-    assert _quotients.held == _held() <= budget
+    assert _quotients.held == _held(_quotients) <= budget
     torus = Lattice.diagonal([40, 40])
     domino = Tile.make(2, [(0, 0), (1, 0)])
     aset = PeriodicSet.make(torus, [(x, y) for x in range(0, 40, 2) for y in range(40)])
     assert is_tiling(domino, aset)
     assert convolve(domino, indicator(aset)) == 1
-    assert torus.quotient().table_cells > 0
+    assert _tables_of(torus)
     assert _quotients.values[torus.basis] is torus.quotient()
-    assert _quotients.held == _held() <= budget
-    assert QUOTIENT_BUDGET <= 32 * TABLE_CELLS   # the worst case of 32 quotients' tables
+    assert _quotients.held == _held(_quotients) <= budget
+    assert _sublattices.held == _held(_sublattices)
 
 
 def test_an_evicted_quotient_is_rebuilt_equal(monkeypatch):
@@ -641,15 +675,34 @@ def test_an_evicted_quotient_is_rebuilt_equal(monkeypatch):
     numbers = q.numbers(vectors)
     tables = [q.translation(v) for v in shifts]
     heads = q.heads(range(len(q)))
-    monkeypatch.setattr(_quotients, "limit", 0)   # keeps only the last quotient
+    monkeypatch.setattr(_quotients, "limit", 0)   # keeps only the entry made last
     Lattice.diagonal([5]).quotient()
-    assert lat.basis not in _quotients.values
+    assert lat.basis not in _quotients.values and not _tables_of(lat)
     rebuilt = lat.quotient()
-    assert rebuilt is not q and rebuilt.table_cells == 0
+    assert rebuilt is not q
     assert rebuilt.numbers(vectors) == numbers
     assert [rebuilt.translation(v) for v in shifts] == tables
     assert rebuilt.heads(range(len(q))) == heads
-    assert _quotients.held == _held() == len(rebuilt) + rebuilt.table_cells
+    assert len(_quotients.values) == 1
+    assert _quotients.held == _held(_quotients) == len(q)
+
+
+def test_a_kept_table_outlives_its_quotient(monkeypatch):
+    # tables are kept by basis, not on the quotient: when the oldest entry,
+    # the quotient, goes, a rebuilt quotient reads the same tuple
+    lat = hnf(3, [(2, 0, 0), (1, 3, 0), (1, 2, 4)])   # index 24
+    monkeypatch.setattr(_quotients, "values", {})
+    monkeypatch.setattr(_quotients, "held", 0)
+    monkeypatch.setattr(_quotients, "limit", 50)
+    q = lat.quotient()
+    Lattice.diagonal([4]).quotient()
+    table = q.translation((1, 2, 3))          # 24 + 4 + 24 > 50: q goes
+    assert list(_quotients.values) == [((4,),), (lat.basis, (1, 2, 3))]
+    rebuilt = lat.quotient()                  # the index-4 quotient goes
+    assert rebuilt is not q
+    assert rebuilt.translation((1, 2, 3)) is table
+    assert rebuilt.translation([1, 2, 3], keep=False) is table
+    assert _quotients.held == _held(_quotients) == 48
 
 
 @st.composite

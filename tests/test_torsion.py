@@ -174,6 +174,29 @@ def test_trivial_tile_cotile():
     assert verdict.kind == "generic" and verdict.periodic
 
 
+def test_mixed_makes_follow_the_document_integer_rule():
+    # an integer-valued float reads as the int; a fraction, a bool or a
+    # string is refused, never truncated
+    assert MixedTile.make(3.0, [(0, 1.0), (1.0, 5)]) == MixedTile.make(3, [(0, 1), (1, 2)])
+    assert type(MixedTile.make(3.0, [(0, 0)]).p) is int
+    assert (MixedPeriodicSet.make(3.0, 2.0, [(1.0, 4.0)])
+            == MixedPeriodicSet.make(3, 2, [(1, 1)]))
+    for bad in (0.5, True, "1"):
+        for build in (lambda: MixedTile.make(bad, [(0, 0)]),
+                      lambda: MixedTile.make(3, [(bad, 0)]),
+                      lambda: MixedTile.make(3, [(0, bad)]),
+                      lambda: MixedPeriodicSet.make(bad, 2, [(0, 0)]),
+                      lambda: MixedPeriodicSet.make(3, bad, [(0, 0)]),
+                      lambda: MixedPeriodicSet.make(3, 2, [(bad, 0)]),
+                      lambda: MixedPeriodicSet.make(3, 2, [(0, bad)])):
+            with pytest.raises(InputContractError):
+                build()
+    with pytest.raises(InputContractError):
+        MixedTile.make(3, [(0.5, 1.7)])
+    with pytest.raises(InputContractError):
+        MixedPeriodicSet.make(3, 2, [(1.5, 0)])
+
+
 def test_cotile_conclusion_rejects_non_cotile():
     tile = MixedTile.make(2, [(0, 0), (0, 1)])
     with pytest.raises(NotACotileError):
