@@ -122,7 +122,7 @@ def from_document(doc):
         lat = from_document(body["lattice"])
         return PeriodicSet.make(lat, [_integers(m) for m in body["members"]])
     if kind == "tile":
-        return Tile.make(_integer(body["dim"]), [_integers(p) for p in body["points"]])
+        return Tile.make(_integer(body["dim"]), body["points"])
     if kind == "tile_tuple":
         return TileTuple.make([from_document(t) for t in body["tiles"]])
     if kind == "weighted_tile":

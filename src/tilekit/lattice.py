@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -398,6 +399,8 @@ class QuotientGroup:
 
     def _table(self, k, g):
         """Translation table of the first k coordinates by the vector g."""
+        if not k:  # Z^0 / L, the trivial group
+            return [0]
         col = self.lattice.basis[k - 1]
         p = self.pivots[k - 1]
         q, top = divmod(g[k - 1], p)
@@ -454,6 +457,31 @@ def enumerate_sublattices(dim, n):
     return list(_sublattices.get((dim, n), _sorted_sublattices, dim, n))
 
 
+class _Sublattices(tuple):
+    """The kept candidate tuple of one dimension and index, with the grouping
+    of its lattices by Hermite rows that _avoiding walks."""
+
+    @cached_property
+    def rows(self):
+        """Positions in this tuple, grouped by rows from row d-1 up: for each
+        row k >= 1, a dict by (p_k, the row's entries right of p_k), and under
+        row 1 (the whole of it when d = 1), (p_0, positions) with positions[x]
+        the lattice whose row-0 entries right of p_0 are the digits of x in
+        base p_0, column 1 lowest."""
+        d = self[0].dim
+        root = {}
+        for pos, lat in enumerate(self):
+            b = lat.basis
+            p0 = b[0][0]
+            node, key = root, ()
+            for k in range(d - 1, 0, -1):
+                node = node.setdefault(key, {})
+                key = b[k][k], tuple(c[k] for c in b[k + 1:])
+            leaf = node.setdefault(key, (p0, [0] * p0 ** (d - 1)))
+            leaf[1][sum(c[0] * p0 ** j for j, c in enumerate(b[1:]))] = pos
+        return root[()]
+
+
 def _sorted_sublattices(dim, n):
     out = []
     for pivots in _ordered_factorizations(n, dim):
@@ -466,10 +494,68 @@ def _sorted_sublattices(dim, n):
             for (i, j), val in zip(slots, fill):
                 cols[j][i] = val
             out.append(Lattice(dim, tuple(tuple(c) for c in cols)))
-    return tuple(sorted(out, key=lambda lat: lat.basis))
+    return _Sublattices(sorted(out, key=lambda lat: lat.basis))
 
 
 _sublattices = _Cache(SUBLATTICE_CACHE)
+
+
+def _avoiding(dim, n, vectors):
+    """One flag per lattice of enumerate_sublattices(dim, n), in its order:
+    1 where the lattice contains none of the integer vectors, else 0.  No
+    lattice or quotient is built.
+
+    v lies in L when every digit of v, reduced as QuotientGroup.numbers does,
+    is 0.  Digits d-1 to 1 and their quotients q_k depend only on rows d-1 to
+    1 of the basis, so the walk reduces each vector once per group of those
+    rows, sharing each row's step among the groups below it, and drops the
+    vector from a group at a nonzero digit.  Digit 0 is then 0 exactly when
+    sum_j q_j * b_0j = v_0 (mod p_0) in the row-0 entries b_0j; the walk
+    solves that congruence for the last entry, by its gcd with p_0 and one
+    modular inverse, and clears the flags of exactly the lattices that
+    satisfy it.
+    """
+    lattices = _sublattices.get((dim, n), _sorted_sublattices, dim, n)
+    flags = bytearray(b"\1") * len(lattices)
+    _walk(lattices.rows, dim - 1, vectors, flags)
+    return flags
+
+
+def _walk(node, k, states, flags):
+    """Reduce the states through row k of node's groups and clear flags at
+    row 0; see _avoiding.  A state is a vector whose entries past k hold its
+    quotients q_k+1 .. q_d-1 in place of its own entries."""
+    if k:
+        for (p, row), child in node.items():
+            kept = []
+            for v in states:
+                x = v[k] - sum(map(operator.mul, v[k + 1:], row))
+                if not x % p:
+                    kept.append(v[:k] + (x // p,) + v[k + 1:])
+            if kept:
+                _walk(child, k - 1, kept, flags)
+        return
+    p0, positions = node
+    if len(positions) == 1:  # d = 1, or p_0 = 1: no row-0 entries to solve for
+        for v in states:
+            if not v[0] % p0:
+                flags[positions[0]] = 0
+                return
+        return
+    weight = len(positions) // p0
+    for v in states:
+        *lead, a = v[1:]
+        g = math.gcd(a, p0)
+        step = p0 // g
+        inverse = pow(a // g, -1, step)
+        for base in range(weight):  # the digits of base are b_01 .. b_0,d-2
+            rest, digits = v[0], base
+            for q in lead:
+                digits, x = divmod(digits, p0)
+                rest -= q * x
+            if not rest % g:
+                for x in range(rest // g * inverse % step, p0, step):
+                    flags[positions[base + x * weight]] = 0
 
 
 def enumerate_points(lat):

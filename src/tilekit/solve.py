@@ -11,6 +11,7 @@ a cycle decodes to a fully periodic solution.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -24,6 +25,7 @@ from .lattice import (
     Lattice,
     PeriodicSet,
     QuotientGroup,
+    _avoiding,
     _bits,
     _integer_kernel,
     _mask,
@@ -253,15 +255,30 @@ def _on_stabilizer(aset):
     return True
 
 
+def _differences(tiles):
+    """The differences b - a, a < b, of two points of one tile: a tile
+    projects one-to-one on Z^d / L exactly when L contains none of them."""
+    return {vsub(b, a) for t in tiles for a, b in itertools.combinations(t.sorted_points, 2)}
+
+
 def search_periodic_cotile(tiles, max_index, mode="all"):
     """Periodic joint co-tiles with stabilizer index up to max_index.
 
     Iterates candidate lattices whose index is a multiple of |F_1| and solves
-    each quotient.  A solution is kept exactly when its stabilizer is the
-    lattice it was solved on, that is when no difference a - a0 of a member a
-    and the least member a0 maps it onto itself modulo the lattice: a
-    stabilizing vector outside the lattice moves a0 onto some other member,
-    so it is one of those differences modulo the lattice (_on_stabilizer).
+    each quotient that SearchProblem.build would find feasible: the index is
+    a multiple of every tile's size, and the lattice contains none of the
+    _differences.  Where an index has more than one candidate, those are
+    tested before any quotient is built, by the congruences of the Hermite
+    rows (lattice._avoiding), so an infeasible candidate costs no build and
+    no solve_quotient call.  A lone candidate, as every index has in
+    dimension 1, goes to solve_quotient, whose one build costs less than the
+    walk's fixed cost per index.
+
+    A solution is kept exactly when its stabilizer is the lattice it was
+    solved on, that is when no difference a - a0 of a member a and the least
+    member a0 maps it onto itself modulo the lattice: a stabilizing vector
+    outside the lattice moves a0 onto some other member, so it is one of
+    those differences modulo the lattice (_on_stabilizer).
     The stabilizer S of a co-tile A contains that lattice, and its index is
     |F_1| times the number of members of A modulo S, so a co-tile whose
     stabilizer is larger was already found on S, at a smaller index; each
@@ -274,9 +291,15 @@ def search_periodic_cotile(tiles, max_index, mode="all"):
     if max_index < 1:
         raise InputContractError("max_index must be positive")
     size = tiles[0].size
+    sizes_lcm = math.lcm(*[t.size for t in tiles])
     out = []
     for n in range(size, max_index + 1, size):
-        for lat in enumerate_sublattices(tiles.dim, n):
+        lattices = enumerate_sublattices(tiles.dim, n)
+        if n % sizes_lcm:
+            continue
+        if len(lattices) > 1:  # a lone candidate costs one build either way
+            lattices = itertools.compress(lattices, _avoiding(tiles.dim, n, _differences(tiles)))
+        for lat in lattices:
             for aset in solve_quotient(tiles, lat, mode=mode):
                 if _on_stabilizer(aset):
                     out.append((lat, aset))

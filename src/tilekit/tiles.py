@@ -32,7 +32,9 @@ class Tile:
 
     @staticmethod
     def make(dim, points):
-        pts = frozenset(tuple(p) for p in points)
+        """Each coordinate is read by lattice._integers: 1.0 reads as 1, and
+        0.5, True or "1" is an InputContractError."""
+        pts = frozenset(map(_integers, points))
         if not pts:
             raise InputContractError("a tile must be non-empty")
         for p in pts:

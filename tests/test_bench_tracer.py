@@ -35,11 +35,13 @@ def test_every_tracer_target_resolves():
 
 
 def test_sweep_counts_of_box_pair_frame_0():
-    # The counts of sweep3d's frame 0: every candidate lattice goes through
-    # solve_quotient, and each through one SearchProblem.build, which the
-    # tracer reads for feasible; a sweep that skipped either reads lower.
-    # The sweep is called through the package, whose binding the tracer
-    # replaces.
+    # The counts of sweep3d's frame 0: the tracer counts candidates by the
+    # lattices enumerate_sublattices lists and feasible by the
+    # SearchProblem.build calls that find the tuple feasible.  The sweep
+    # skips the infeasible candidates before any build, so every build it
+    # makes is feasible and each feasible lattice goes through
+    # solve_quotient once.  The sweep is called through the package, whose
+    # binding the tracer replaces.
     tracer = _tracer()
     tracer.install()
     try:

@@ -107,6 +107,31 @@ def test_solve_refuses_a_zero_dimensional_tile(capsys, tmp_path):
     assert err == "tilekit: input contract violation: dimension must be positive\n"
 
 
+def _zero_dimensional_documents(tmp_path, members):
+    tile = _write(tmp_path / "t.json", {"kind": "tile", "dim": 0, "points": [[]]})
+    cotile = _write(tmp_path / "p.json", {
+        "kind": "periodic_set", "members": members,
+        "lattice": {"kind": "lattice", "dim": 0, "basis": []}})
+    return tile, cotile
+
+
+def test_verify_on_zero_dimensional_documents(capsys, tmp_path):
+    # Z^0 / 0 is the one-element group, and its one translation table is (0,)
+    tile, cotile = _zero_dimensional_documents(tmp_path, [[]])
+    assert run(capsys, "verify", "--tiles", tile, "--cotile", cotile) == (
+        0, "joint tiling: holds\n", "")
+    tile, cotile = _zero_dimensional_documents(tmp_path, [])
+    code, _, err = run(capsys, "verify", "--tiles", tile, "--cotile", cotile)
+    assert code == 3 and err == ""
+
+
+def test_decompose_on_zero_dimensional_documents(capsys, tmp_path):
+    tile, cotile = _zero_dimensional_documents(tmp_path, [[]])
+    code, out, err = run(capsys, "--json", "decompose", "--tiles", tile, "--cotile", cotile)
+    assert code == 0 and err == ""
+    assert json.loads(out)["report"]["ok"] is True
+
+
 def test_solve_exhausted_exit_code(capsys):
     code, _, _ = run(capsys, "solve", "--tiles", fx("six_block_tile.json"),
                      "--max-index", "24")

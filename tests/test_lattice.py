@@ -552,6 +552,12 @@ def test_zero_lattice_is_legal():
     assert not z.contains((1, 0))
 
 
+def test_quotient_of_z0_is_the_one_element_group():
+    quotient = Lattice.zero(0).quotient()
+    assert len(quotient) == 1 and quotient.residues == ((),)
+    assert quotient.translation(()) == (0,)
+
+
 def test_equal_lattices_share_one_quotient():
     a = hnf(2, [(4, 0), (1, 3)])
     b = hnf(2, [(1, 3), (5, 3)])

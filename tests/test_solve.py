@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from tilekit.analysis import is_independent_tuple
 from tilekit.errors import InputContractError, NotACotileError, NotAPartitionError, TilekitError
 from tilekit.lattice import (
+    _avoiding,
     Lattice,
     PeriodicSet,
     enumerate_sublattices,
@@ -20,6 +21,7 @@ from tilekit.lattice import (
 )
 from tilekit.solve import (
     _cycle_letters,
+    _differences,
     _on_stabilizer,
     _Placements,
     _Recoder,
@@ -35,7 +37,7 @@ from tilekit.solve import (
     solve_quotient,
 )
 from tilekit.tiles import Tile, TileTuple
-from tilekit import verify
+from tilekit import solve as solve_module, verify
 from conftest import (
     box_cotile,
     box_pair,
@@ -225,6 +227,75 @@ def test_search_periodic_cotile_returns_pinned_sweeps():
                for lat, aset in found]
         assert got == case["found"], case["case"]
     assert time.perf_counter() - start < 2.0
+
+
+_MAX_INDEX = {1: 64, 2: 24, 3: 12}
+
+
+@st.composite
+def _feasibility_instances(draw):
+    """(tiles, n): 1-3 tiles of drawn sizes with negative coordinates, or the
+    box pair in a unimodular frame made, as sweep3d's are, of six elementary
+    row additions; n up to 64, 24 or 12 in dimension 1, 2 or 3, half the
+    time a multiple of the first tile's size, as the sweep asks."""
+    d = draw(st.integers(1, 3))
+    if d == 3 and draw(st.booleans()):
+        frame = [[int(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(6):
+            i, j = draw(st.permutations(range(3)))[:2]
+            sign = draw(st.sampled_from((-1, 1)))
+            frame = [[a + sign * b for a, b in zip(frame[r], frame[j])] if r == i else frame[r]
+                     for r in range(3)]
+        tiles = TileTuple.make([Tile.make(3, [tuple(sum(m * x for m, x in zip(row, p))
+                                                    for row in frame) for p in t.points])
+                                for t in box_pair()])
+    else:
+        point = st.tuples(*[st.integers(-12 // d, 12 // d)] * d)
+        tiles = TileTuple.make([Tile.make(d, {(0,) * d} | draw(st.sets(point, max_size=4)))
+                                for _ in range(draw(st.integers(1, 3)))])
+    size, top = tiles[0].size, _MAX_INDEX[d]
+    return tiles, draw(st.one_of(st.integers(1, top // size).map(size.__mul__),
+                                 st.integers(1, top)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_feasibility_instances())
+def test_hermite_row_walk_keeps_the_candidates_that_build_finds_feasible(instance):
+    # The Hermite-row walk against the projection of every tile point, on the
+    # same candidate list, position by position.
+    tiles, n = instance
+    divides = not any(n % t.size for t in tiles)
+    assert [bool(flag) and divides for flag in _avoiding(tiles.dim, n, _differences(tiles))] == [
+        SearchProblem.build(tiles, lat).feasible for lat in enumerate_sublattices(tiles.dim, n)]
+
+
+def test_sweep_builds_and_solves_only_feasible_lattices(monkeypatch):
+    # The box pair to index 12 has 645 candidates, of which 346 are feasible;
+    # the 299 others are skipped before any quotient is built.  With sizes 2
+    # and 3, only the indices 6 and 12 are built at all.
+    problems, solved = [], []
+    build, solve = SearchProblem.build, solve_module.solve_quotient
+
+    def counted_build(tiles, lat):
+        problems.append(build(tiles, lat))
+        return problems[-1]
+
+    def counted_solve(tiles, lat, mode="all"):
+        solved.append(lat)
+        return solve(tiles, lat, mode=mode)
+
+    monkeypatch.setattr(SearchProblem, "build", staticmethod(counted_build))
+    monkeypatch.setattr(solve_module, "solve_quotient", counted_solve)
+    assert len(search_periodic_cotile(box_pair(), 12)) == 76
+    assert sum(len(enumerate_sublattices(3, n)) for n in (4, 8, 12)) == 645
+    assert (len(problems), len(solved)) == (346, 346)
+    assert all(problem.feasible for problem in problems)
+    problems.clear()
+    domino = Tile.make(2, [(0, 0), (1, 0)])
+    tromino = Tile.make(2, [(0, 0), (1, 0), (0, 1)])
+    search_periodic_cotile(TileTuple.make([domino, tromino]), 12)
+    assert problems
+    assert all(p.feasible and p.lattice.index() in (6, 12) for p in problems)
 
 
 @st.composite

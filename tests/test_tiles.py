@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tilekit import verify
 from tilekit.errors import InputContractError
 from tilekit.lattice import Lattice, hnf, vadd, vscale
+from tilekit.solve import search_periodic_cotile
 from tilekit.tiles import (
     PeriodicRationalFunction,
     Tile,
@@ -129,6 +130,18 @@ def test_weighted_tile_weights_follow_the_document_integer_rule():
             WeightedTile.make(1, {(0,): bad, (1,): 1})
     with pytest.raises(InputContractError):
         WeightedTile.make(1, {(0,): 1.5, (1,): 0.5})
+
+
+def test_tile_coordinates_follow_the_document_integer_rule():
+    # 1.0 reads as 1, so the sweep and the 1-d decider see only ints
+    tile = Tile.make(1, [(0,), (1.0,)])
+    assert tile == Tile.make(1, [(0,), (1,)])
+    assert all(type(x) is int for p in tile.points for x in p)
+    assert search_periodic_cotile(TileTuple.make([tile]), 4) == \
+        search_periodic_cotile(TileTuple.make([Tile.make(1, [(0,), (1,)])]), 4)
+    for bad in (0.5, True, "1"):
+        with pytest.raises(InputContractError, match="is not an integer"):
+            Tile.make(1, [(0,), (bad,)])
 
 
 def test_weighted_tile_signed_combination():
