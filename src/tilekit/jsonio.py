@@ -117,10 +117,10 @@ def from_document(doc):
     kind = _infer_kind(doc)
     body = _strip(doc)
     if kind == "lattice":
-        return hnf(_integer(body["dim"]), [_integers(c) for c in body["basis"]])
+        return hnf(_integer(body["dim"]), body["basis"])
     if kind == "periodic_set":
         lat = from_document(body["lattice"])
-        return PeriodicSet.make(lat, [_integers(m) for m in body["members"]])
+        return PeriodicSet.make(lat, body["members"])
     if kind == "tile":
         return Tile.make(_integer(body["dim"]), body["points"])
     if kind == "tile_tuple":

@@ -49,7 +49,7 @@ INFINITE = Infinite()
 def _integer(x):
     """x as an int: an int, or a float with an integer value such as 1.0;
     anything else, a bool among them, is an InputContractError.  The one
-    reader for the integers of a document and of a weighted tile."""
+    reader for the integers of a document and of the public constructors."""
     if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, float) and x.is_integer():
@@ -130,8 +130,9 @@ def hnf(dim, vectors):
 
     Zero vectors are dropped; an empty generating set yields the zero lattice.
     Idempotent: feeding back the columns of a canonical basis reproduces it.
+    Every coordinate is read by _integer.
     """
-    vecs = [tuple(v) for v in vectors]
+    vecs = [_integers(v) for v in vectors]
     for v in vecs:
         if len(v) != dim:
             raise InputContractError(f"vector {v} does not have dimension {dim}")
@@ -230,8 +231,8 @@ class Lattice:
         Equal lattices share one QuotientGroup in the solver and every other
         layer.  It is kept in a module-level cache, not on the lattice, so a
         lattice that outlives its computation does not pin it; the cache
-        counts each quotient as its index and drops the oldest quotients and
-        translation tables once QUOTIENT_BUDGET is passed.
+        counts each quotient as its index and drops the oldest quotients,
+        translation tables and head rows once QUOTIENT_BUDGET is passed.
         """
         if not self.is_full_rank:
             raise RankDeficientError("quotient requires a full-rank lattice")
@@ -304,10 +305,10 @@ class QuotientGroup:
     the only code that knows that order, which a function's numerators and
     the bits of a PeriodicSet's mask follow: numbers is its one encoder and
     decode its one decoder, and neither builds the residues tuple.  The
-    instance holds no table: translation keeps its tables in the cache of
-    Lattice.quotient(), keyed by basis and shift, so they outlive an evicted
-    quotient and count against the same QUOTIENT_BUDGET.  Nothing here refers
-    back to the instance, so it forms no reference cycle.
+    instance holds no table or row: translation and heads keep them in the
+    cache of Lattice.quotient(), under (basis, shift) and (basis, None), so
+    they outlive an evicted quotient and count against QUOTIENT_BUDGET.
+    Nothing here refers back to the instance, so it forms no reference cycle.
     """
 
     def __init__(self, lattice):
@@ -353,28 +354,34 @@ class QuotientGroup:
         """Head rows of the residues with the given numbers, keyed by number:
         row y lists the number of residues[y] + residues[B * p_0] for each of
         the n / p_0 blocks B, the heads of the digit-0 blocks, in order.
+        Digit 0 never carries (basis column 0 is p_0 e_0), so y + B * p_0 + t
+        is entry B of row y rotated by t inside its block of p_0 numbers.
 
-        One walk serves all m rows: their cells, interleaved, start at the
-        numbers themselves and move p_k - 1 times along the table of each
-        basis step e_k, k >= 1, and every move appends a copy, so row i is
-        every m-th entry from i on.  Digit 0 never carries (basis column 0 is
-        p_0 e_0), so residues[y] + residues[B * p_0 + t] is entry B of row y
-        rotated by t inside its block of p_0 numbers.  The step tables are
-        kept, within QUOTIENT_BUDGET, for the next sweep.
+        The rows live in the quotient cache, in one list of n * n / p_0
+        numbers counted at that size, and a row is walked the first time it
+        is asked for.  One walk serves the m new rows: their cells,
+        interleaved, start at the numbers themselves and move p_k - 1 times
+        along the kept table of each basis step e_k, k >= 1, and every move
+        appends a copy, so row i is every m-th entry from i on.
         """
         pivots = self.pivots
-        numbers = list(numbers)
-        walked = numbers[:]
-        for k in range(1, len(pivots)):
-            if pivots[k] > 1:
-                step = self.translation([int(t == k) for t in range(len(pivots))])
-                run = walked
-                walked = walked[:]
-                for _ in range(pivots[k] - 1):
-                    run = [step[x] for x in run]
-                    walked += run
-        m = len(numbers)
-        return {y: walked[i::m] for i, y in enumerate(numbers)}
+        width = len(self) // pivots[0]
+        key = self.lattice.basis, None
+        kept = _quotients.values.get(key) or _quotients.get(key, [None].__mul__, len(self) * width)
+        new = [y for y in set(numbers) if kept[y * width] is None]
+        if new:
+            walked = new[:]
+            for k in range(1, len(pivots)):
+                if pivots[k] > 1:
+                    step = self.translation([int(t == k) for t in range(len(pivots))])
+                    run = walked
+                    walked = walked[:]
+                    for _ in range(pivots[k] - 1):
+                        run = [step[x] for x in run]
+                        walked += run
+            for i, y in enumerate(new):
+                kept[y * width:(y + 1) * width] = walked[i::len(new)]
+        return {y: kept[y * width:(y + 1) * width] for y in numbers}
 
     def translation(self, v, keep=True):
         """Translation by the integer vector v as a permutation of residue numbers.
@@ -425,7 +432,7 @@ class QuotientGroup:
         return iter(self.residues)
 
 
-_quotients = _Cache(QUOTIENT_BUDGET)   # QuotientGroups by basis, tables by (basis, shift)
+_quotients = _Cache(QUOTIENT_BUDGET)   # quotients by basis; tables, rows by (basis, shift or None)
 
 
 def _divisors(n):
@@ -599,7 +606,7 @@ class PeriodicSet:
     @staticmethod
     def make(lattice, vectors):
         quotient = lattice.quotient()
-        vectors = [tuple(v) for v in vectors]
+        vectors = [_integers(v) for v in vectors]
         if any(len(v) != lattice.dim for v in vectors):
             raise InputContractError(f"a vector does not have dimension {lattice.dim}")
         return PeriodicSet(lattice, _mask(quotient.numbers(vectors)))

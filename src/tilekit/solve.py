@@ -62,62 +62,58 @@ class SearchProblem:
         if tiles.dim != lat.dim:
             raise InputContractError("tiles and lattice have different dimensions")
         quotient = lat.quotient()
-        projected = []
-        injective = []
-        for tile in tiles:
-            res = quotient.numbers(tile.sorted_points)
-            projected.append(res)
-            injective.append(len(set(res)) == len(res))
+        projected = tuple(quotient.numbers(tile.sorted_points) for tile in tiles)
+        injective = tuple(len(set(res)) == len(res) for res in projected)
         divides = all(len(quotient) % t.size == 0 for t in tiles)
-        return SearchProblem(tiles, lat, tuple(projected), tuple(injective), divides, quotient)
+        return SearchProblem(tiles, lat, projected, injective, divides, quotient)
 
     @property
     def feasible(self):
         return all(self.injective) and self.size_divides
 
 
+def _negated_row(row, p0):
+    """The head row of -y from that of y (QuotientGroup.heads): entry B of
+    row y, h, makes entry h // p_0 of row -y B * p_0 + (-h mod p_0)."""
+    out = [0] * len(row)
+    for b, h in enumerate(row):
+        out[h // p0] = b * p0 + -h % p0
+    return out
+
+
+def _plus(row, x, p0):
+    """y + x, from the head row of y."""
+    h = row[x // p0]
+    return h - h % p0 + (h + x) % p0
+
+
 class _Placements:
-    """The placements of a feasible SearchProblem, read off the heads of its
-    digit-0 blocks.
+    """The placements of a feasible SearchProblem, read off the kept head
+    rows of its quotient (QuotientGroup.heads).
 
     With n the index, bit i*n + y of the mask of placement a is set when
-    tile i covers residue number y from a.  One digit pass,
-    QuotientGroup.heads, lists the cell y + r_h of every block head h, the
-    placements whose digit 0 is 0, for the number y of each tile point and
-    each negated point of the first tile, and the head masks are ORed from
-    the rows of the tile points.  Digit 0 never carries, so the cells of
-    placement h + t are those of h, each rotated by t inside its block of
-    p_0 numbers, and so are the bits of its mask: mask(a) makes that
-    rotation the first time placement a is asked for and keeps it.  The
-    placements covering cell y = C*p_0 + c_0 are the heads at entry C of the
-    rows of the negated points, each rotated by c_0: providers(y) lists
-    them in the order of the first tile's points.  When p_0 = 1 every
-    placement is a head.
+    tile i covers residue number y from a.  mask(a) sums the mask of a's
+    block head from the rows of the tile points, the first time its block
+    is asked for, and rotates it inside each block of p_0 bits, as the rows
+    rotate.  providers(y), the placements y - f for the points f of the
+    first tile, is read off their negated rows (_negated_row).
     """
 
     def __init__(self, problem):
         quotient = problem.quotient
         n = len(quotient)
         self.p0 = p0 = quotient.pivots[0]
-        inverse = quotient.numbers(problem.tiles[0].negated_points)
-        rows = quotient.heads(set(inverse).union(*problem.projected))
-        heads = [0] * (n // p0)
-        for i, res in enumerate(problem.projected):
-            offset = i * n
-            for y in res:
-                heads = [m | 1 << (offset + c) for m, c in zip(heads, rows[y])]
-        self.heads = heads
+        rows = quotient.heads(set().union(*problem.projected))
+        self.cells = [(i * n, rows[y]) for i, res in enumerate(problem.projected) for y in set(res)]
+        self.heads = [None] * (n // p0)
         self.full = (1 << n * len(problem.projected)) - 1
         self.rep = self.full // ((1 << p0) - 1)  # bit 0 of every block of p_0 bits
-        self.rows = [rows[y] for y in inverse]
+        self.rows = [_negated_row(rows[y], p0) for y in problem.projected[0]]
         self.masks = [None] * n
 
     def providers(self, y):
-        """The placements covering cell y, in the order of the first tile's
-        points; solve_quotient's loop does the same arithmetic inline."""
-        p0 = self.p0
-        block, c0 = divmod(y, p0)
-        return [h - h % p0 + (h + c0) % p0 for h in [row[block] for row in self.rows]]
+        """The placements covering cell y, in the order of the first tile's points."""
+        return [_plus(row, y, self.p0) for row in self.rows]
 
     def mask(self, a):
         """The mask of placement a, made on first use and kept in masks."""
@@ -126,6 +122,9 @@ class _Placements:
             p0 = self.p0
             t = a % p0
             mask = self.heads[a // p0]
+            if mask is None:
+                block = a // p0
+                mask = self.heads[block] = sum(1 << (i + row[block]) for i, row in self.cells)
             if t:
                 low = self.rep * ((1 << (p0 - t)) - 1)  # the bits that move up by t
                 mask = (mask & low) << t | (mask & ~low) >> (p0 - t)
@@ -243,16 +242,15 @@ def brute_force_quotient(tiles, lat):
 
 
 def _on_stabilizer(aset):
-    """Whether the stabilizer of a periodic set is its lattice, decided by the
-    member differences a - a0 as search_periodic_cotile explains."""
-    lat, members = aset.lattice, aset.members
-    a0 = min(members)
-    for a in members:
-        if a != a0:
-            v = vsub(a, a0)
-            if all(lat.reduce(vadd(m, v)) in members for m in members):
-                return False
-    return True
+    """Whether the stabilizer of a periodic set is its lattice: no a - a0 keeps the
+    mask (search_periodic_cotile), each sum read off the members' head rows."""
+    quotient, mask = aset.lattice.quotient(), aset.mask
+    p0 = quotient.pivots[0]
+    a0, *others = members = _bits(mask)
+    rows = quotient.heads(members)
+    back = _negated_row(rows[a0], p0)
+    moved = [_plus(back, m, p0) for m in members]   # A - a0
+    return not any(all(mask >> _plus(rows[a], x, p0) & 1 for x in moved) for a in others)
 
 
 def _differences(tiles):
@@ -268,22 +266,22 @@ def search_periodic_cotile(tiles, max_index, mode="all"):
     each quotient that SearchProblem.build would find feasible: the index is
     a multiple of every tile's size, and the lattice contains none of the
     _differences.  Where an index has more than one candidate, those are
-    tested before any quotient is built, by the congruences of the Hermite
-    rows (lattice._avoiding), so an infeasible candidate costs no build and
-    no solve_quotient call.  A lone candidate, as every index has in
-    dimension 1, goes to solve_quotient, whose one build costs less than the
-    walk's fixed cost per index.
+    tested by the congruences of the Hermite rows (lattice._avoiding), so an
+    infeasible candidate costs no build and no solve_quotient call; a lone
+    candidate, as in dimension 1, costs one build either way.
 
     A solution is kept exactly when its stabilizer is the lattice it was
-    solved on, that is when no difference a - a0 of a member a and the least
+    solved on, that is when no difference a - a0 of a member a and a fixed
     member a0 maps it onto itself modulo the lattice: a stabilizing vector
     outside the lattice moves a0 onto some other member, so it is one of
-    those differences modulo the lattice (_on_stabilizer).
-    The stabilizer S of a co-tile A contains that lattice, and its index is
-    |F_1| times the number of members of A modulo S, so a co-tile whose
-    stabilizer is larger was already found on S, at a smaller index; each
-    co-tile is thus kept once, on its stabilizer.  In the "first" mode the
-    first solution is on its stabilizer for the same reason, and the sweep
+    those differences modulo the lattice.  _on_stabilizer reads every such
+    sum off the quotient's kept head rows, which a repeated sweep, meeting
+    the same lattices, finds walked.  The stabilizer S of a co-tile A
+    contains that lattice, and its index is |F_1| times the number of
+    members of A modulo S, so a co-tile whose stabilizer is larger was
+    already found on S, at a smaller index; each co-tile is thus kept once,
+    on its stabilizer.  In the "first" mode the first solution is on its
+    stabilizer for the same reason, and the sweep
     stops there.  Returns (stabilizer, set) pairs by index, basis and sorted_members.
     """
     if mode not in ("all", "first"):

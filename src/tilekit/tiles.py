@@ -59,11 +59,6 @@ class Tile:
     def sorted_points(self):
         return tuple(sorted(self.points))
 
-    @cached_property
-    def negated_points(self):
-        """The negatives of sorted_points, in that order."""
-        return tuple(vneg(f) for f in self.sorted_points)
-
     @property
     def sorted_star(self):
         return tuple(sorted(self.star))

@@ -202,6 +202,20 @@ def test_enumerate_sublattices_refuses_a_dimension_below_one():
         search_periodic_cotile(TileTuple.make([Tile.make(0, [()])]), 3)
 
 
+def test_hnf_and_periodic_set_coordinates_follow_the_document_integer_rule():
+    # 1.0 reads as 1, so bases and masks hold only ints; a fraction, a bool
+    # or a string is an input error, never a TypeError or a float basis
+    lat = Lattice.diagonal([2, 2])
+    assert PeriodicSet.make(lat, [(0.0, 1.0)]) == PeriodicSet.make(lat, [(0, 1)])
+    basis = hnf(2, [(2.0, 0), (0, 2)])
+    assert basis == lat and all(type(x) is int for col in basis.basis for x in col)
+    for bad in (0.5, True, "1"):
+        with pytest.raises(InputContractError, match="is not an integer"):
+            PeriodicSet.make(lat, [(0, bad)])
+        with pytest.raises(InputContractError, match="is not an integer"):
+            hnf(2, [(2, 0), (bad, 2)])
+
+
 def test_enumerate_sublattices_match_closed_form_counts():
     # The closed forms for the number of sublattices of index n: 1 in Z,
     # sigma(n) in Z^2, and the sum over m | n of m * sigma(m) in Z^3 (m the
@@ -652,14 +666,33 @@ def test_a_second_sweep_builds_no_quotient(monkeypatch):
 
 
 def test_quotient_budget_holds_across_a_sweep_and_a_torus(monkeypatch):
-    # The index-24 sweep of the box pair holds ~142,000 residue numbers in
-    # its quotients, more than this lowered budget, so it drops some of its
-    # own; its answer does not change and the budget holds, also after the
-    # domino co-tile on 40Z x 40Z keeps its translation tables.  Both caches
-    # count exactly what they hold.
+    # The index-24 sweep of the box pair holds ~337,000 residue numbers in
+    # its quotients, tables and head rows, more than this lowered budget, so
+    # it drops some of its own; its answer does not change and the budget
+    # holds, also after the domino co-tile on 40Z x 40Z keeps its
+    # translation tables.  Both caches count exactly what they hold.
     budget = 50_000
     monkeypatch.setattr(_quotients, "limit", budget)
-    assert len(search_periodic_cotile(box_pair(), 24)) == 844
+    found = search_periodic_cotile(box_pair(), 24)
+    assert len(found) == 844
+    assert _quotients.held == _held(_quotients) <= budget
+    # a second sweep walks again the rows the first one dropped
+    assert search_periodic_cotile(box_pair(), 24) == found
+    assert _quotients.held == _held(_quotients) <= budget
+    # the head rows the sweep keeps are counted at the n * n / p_0 numbers
+    # they can hold, and equal sums read off numbers and decode
+    rows = [(key[0], value) for key, value in _quotients.values.items()
+            if len(key) == 2 and key[1] is None and len(key[0]) == 3]
+    assert rows
+    for basis, kept in rows:
+        lat = Lattice(3, basis)
+        q, p0 = lat.quotient(), lat.pivots[0]
+        n = len(q)
+        assert len(kept) == n * n // p0
+        heads = q.decode(range(0, n, p0))
+        for y, r in enumerate(q.decode(range(n))):
+            if kept[y * n // p0] is not None:
+                assert kept[y * n // p0:(y + 1) * n // p0] == list(q.numbers(vadd(r, h) for h in heads))
     assert _quotients.held == _held(_quotients) <= budget
     torus = Lattice.diagonal([40, 40])
     domino = Tile.make(2, [(0, 0), (1, 0)])
@@ -681,14 +714,23 @@ def test_an_evicted_quotient_is_rebuilt_equal(monkeypatch):
     numbers = q.numbers(vectors)
     tables = [q.translation(v) for v in shifts]
     heads = q.heads(range(len(q)))
+    # rows already walked are read back without a walk
+    steps = []
+    translation = QuotientGroup.translation
+    monkeypatch.setattr(QuotientGroup, "translation",
+                        lambda self, *args: steps.append(args) or translation(self, *args))
+    assert q.heads(range(len(q))) == heads and q.heads([5, 0, 5]) == {5: heads[5], 0: heads[0]}
+    assert steps == []
     monkeypatch.setattr(_quotients, "limit", 0)   # keeps only the entry made last
     Lattice.diagonal([5]).quotient()
     assert lat.basis not in _quotients.values and not _tables_of(lat)
+    assert (lat.basis, None) not in _quotients.values
     rebuilt = lat.quotient()
     assert rebuilt is not q
     assert rebuilt.numbers(vectors) == numbers
     assert [rebuilt.translation(v) for v in shifts] == tables
     assert rebuilt.heads(range(len(q))) == heads
+    assert steps    # the evicted rows were walked again
     assert len(_quotients.values) == 1
     assert _quotients.held == _held(_quotients) == len(q)
 

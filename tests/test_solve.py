@@ -321,6 +321,18 @@ def test_keep_test_by_differences_matches_stabilizer(aset):
     assert _on_stabilizer(aset) == (stabilizer(aset) == aset.lattice)
 
 
+def test_keep_test_matches_stabilizer_on_every_raw_box_pair_solution():
+    # every raw solve_quotient solution of the sweep to index 16, kept or
+    # not, against the stabilizer routine, which shares no code with the
+    # head rows
+    tiles = box_pair()
+    raw = [aset for n in (4, 8, 12, 16) for lat in enumerate_sublattices(3, n)
+           for aset in solve_quotient(tiles, lat)]
+    kept = [aset for aset in raw if _on_stabilizer(aset)]
+    assert kept == [aset for aset in raw if stabilizer(aset) == aset.lattice]
+    assert len(kept) == 172 < len(raw)
+
+
 def test_search_periodic_cotile_box_pair():
     tiles = box_pair()
     found = search_periodic_cotile(tiles, 4)
