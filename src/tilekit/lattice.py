@@ -264,6 +264,8 @@ class Lattice:
 
     @staticmethod
     def diagonal(entries):
+        """The lattice of the diagonal matrix of entries, each read by _integer."""
+        entries = _integers(entries)
         dim = len(entries)
         if any(e <= 0 for e in entries):
             raise InputContractError("diagonal entries must be positive")
@@ -301,23 +303,26 @@ class QuotientGroup:
     """Z^d / L for a full-rank L, with residues numbered 0..index-1.
 
     Residue number a has digits a_i in [0, pivot_i) with the first coordinate
-    varying fastest: a = a_0 + p_0 * (a_1 + p_1 * (a_2 + ...)).  This class is
-    the only code that knows that order, which a function's numerators and
-    the bits of a PeriodicSet's mask follow: numbers is its one encoder and
-    decode its one decoder, and neither builds the residues tuple.  The
-    instance holds no table or row: translation and heads keep them in the
-    cache of Lattice.quotient(), under (basis, shift) and (basis, None), so
-    they outlive an evicted quotient and count against QUOTIENT_BUDGET.
-    Nothing here refers back to the instance, so it forms no reference cycle.
+    varying fastest: a = a_0 + p_0 * (a_1 + p_1 * (a_2 + ...)).  This class,
+    with the rank of its kept head rows, is the only code that knows that
+    order, which a function's numerators and the bits of a PeriodicSet's
+    mask follow: numbers is its one encoder and decode its one decoder, and
+    neither builds the residues tuple.  size is the index n.  The instance
+    holds no table or row: translation and heads keep them in the cache of
+    Lattice.quotient(), under (basis, shift) and (basis, None), where
+    callers read them in place, so they outlive an evicted quotient and
+    count against QUOTIENT_BUDGET.  Nothing here refers back to the
+    instance, so it forms no reference cycle.
     """
 
     def __init__(self, lattice):
         self.lattice = lattice
         self.pivots = lattice.pivots
+        self.size = math.prod(self.pivots)   # the index n
 
     @cached_property
     def residues(self):
-        return tuple(self.decode(range(len(self))))
+        return tuple(self.decode(range(self.size)))
 
     def numbers(self, vectors):
         """Residue numbers of the integer vectors, each reduced on the way as
@@ -350,26 +355,32 @@ class QuotientGroup:
             stride *= p
         return list(zip(*columns)) if columns else [()] * len(numbers)
 
-    def heads(self, numbers):
-        """Head rows of the residues with the given numbers, keyed by number:
-        row y lists the number of residues[y] + residues[B * p_0] for each of
-        the n / p_0 blocks B, the heads of the digit-0 blocks, in order.
-        Digit 0 never carries (basis column 0 is p_0 e_0), so y + B * p_0 + t
-        is entry B of row y rotated by t inside its block of p_0 numbers.
+    def heads(self, numbers, negated=()):
+        """The kept head rows of this quotient (a _HeadRows), read in place:
+        rows[y] is walked for every y in numbers, and back[y], the row of -y,
+        is held for every y in negated, a subset of numbers.  Row y lists
+        the number of residues[y] + residues[B * p_0] for each of the n / p_0
+        blocks B, the heads of the digit-0 blocks, in order.  Digit 0 never
+        carries (basis column 0 is p_0 e_0), so y + B * p_0 + t is entry B
+        of row y rotated by t inside its block of p_0 numbers.
 
-        The rows live in the quotient cache, in one list of n * n / p_0
-        numbers counted at that size, and a row is walked the first time it
-        is asked for.  One walk serves the m new rows: their cells,
-        interleaved, start at the numbers themselves and move p_k - 1 times
-        along the kept table of each basis step e_k, k >= 1, and every move
-        appends a copy, so row i is every m-th entry from i on.
+        A row is walked the first time it is asked for.  One walk serves the
+        m new rows: their cells, interleaved, start at the numbers themselves
+        and move p_k - 1 times along the kept table of each basis step e_k,
+        k >= 1, and every move appends a copy, so row i is every m-th entry
+        from i on.  The row of -y is row z, z the number of -y: row y has
+        one entry h below p_0, at block B, and y + B * p_0 + (-h mod p_0) is
+        0.  Row z is inverted from row y only when it is not held yet.
         """
-        pivots = self.pivots
-        width = len(self) // pivots[0]
         key = self.lattice.basis, None
-        kept = _quotients.values.get(key) or _quotients.get(key, [None].__mul__, len(self) * width)
-        new = [y for y in set(numbers) if kept[y * width] is None]
+        kept = _quotients.values.get(key)
+        if kept is None:
+            kept = _quotients.get(key, _HeadRows, self.pivots)
+        rows = kept.rows
+        new = [y for y in numbers if rows[y] is None]
         if new:
+            pivots = self.pivots
+            new = list(set(new))
             walked = new[:]
             for k in range(1, len(pivots)):
                 if pivots[k] > 1:
@@ -380,8 +391,17 @@ class QuotientGroup:
                         run = [step[x] for x in run]
                         walked += run
             for i, y in enumerate(new):
-                kept[y * width:(y + 1) * width] = walked[i::len(new)]
-        return {y: kept[y * width:(y + 1) * width] for y in numbers}
+                rows[y] = tuple(walked[i::len(new)])
+        back = kept.back
+        for y in negated:
+            if back[y] is None:
+                p0, row = self.pivots[0], rows[y]
+                h = min(row)
+                z = row.index(h) * p0 + -h % p0
+                if rows[z] is None:
+                    rows[z] = _negated_row(row, p0)
+                back[y], back[z] = rows[z], row
+        return kept
 
     def translation(self, v, keep=True):
         """Translation by the integer vector v as a permutation of residue numbers.
@@ -426,10 +446,46 @@ class QuotientGroup:
         return out
 
     def __len__(self):
-        return math.prod(self.pivots)
+        return self.size
 
     def __iter__(self):
         return iter(self.residues)
+
+
+class _HeadRows:
+    """The head rows of one quotient of index n, read in place
+    (QuotientGroup.heads): rows[y] is the row of y, a tuple, once walked or
+    inverted, back[y] is rows[number of -y] once asked for, and rank[a] is
+    the place of residue a in sorted order.  Counted at the most it can
+    hold, n * n / p_0 row entries and n entries each for back and rank."""
+
+    def __init__(self, pivots):
+        n = math.prod(pivots)
+        self.pivots = pivots
+        self.rows = [None] * n
+        self.back = [None] * n
+        self.size = n * n // pivots[0] + 2 * n
+
+    def __len__(self):
+        return self.size
+
+    @cached_property
+    def rank(self):
+        """Sorted order compares residues from coordinate 0 down, so residue
+        a ranks at its digits read as a number with digit 0 highest."""
+        rank = [0]
+        for p in self.pivots:
+            rank = [r * p + t for t in range(p) for r in rank]
+        return rank
+
+
+def _negated_row(row, p0):
+    """The head row of -y from that of y: entry B of row y, h, makes entry
+    h // p_0 of row -y B * p_0 + (-h mod p_0)."""
+    out = [0] * len(row)
+    for b, h in enumerate(row):
+        out[h // p0] = b * p0 + -h % p0
+    return tuple(out)
 
 
 _quotients = _Cache(QUOTIENT_BUDGET)   # quotients by basis; tables, rows by (basis, shift or None)

@@ -64,21 +64,12 @@ class SearchProblem:
         quotient = lat.quotient()
         projected = tuple(quotient.numbers(tile.sorted_points) for tile in tiles)
         injective = tuple(len(set(res)) == len(res) for res in projected)
-        divides = all(len(quotient) % t.size == 0 for t in tiles)
+        divides = all(quotient.size % t.size == 0 for t in tiles)
         return SearchProblem(tiles, lat, projected, injective, divides, quotient)
 
     @property
     def feasible(self):
         return all(self.injective) and self.size_divides
-
-
-def _negated_row(row, p0):
-    """The head row of -y from that of y (QuotientGroup.heads): entry B of
-    row y, h, makes entry h // p_0 of row -y B * p_0 + (-h mod p_0)."""
-    out = [0] * len(row)
-    for b, h in enumerate(row):
-        out[h // p0] = b * p0 + -h % p0
-    return out
 
 
 def _plus(row, x, p0):
@@ -88,27 +79,29 @@ def _plus(row, x, p0):
 
 
 class _Placements:
-    """The placements of a feasible SearchProblem, read off the kept head
-    rows of its quotient (QuotientGroup.heads).
+    """The placements of a feasible SearchProblem, read in place off the
+    kept head rows of its quotient (QuotientGroup.heads).
 
     With n the index, bit i*n + y of the mask of placement a is set when
     tile i covers residue number y from a.  mask(a) sums the mask of a's
     block head from the rows of the tile points, the first time its block
     is asked for, and rotates it inside each block of p_0 bits, as the rows
     rotate.  providers(y), the placements y - f for the points f of the
-    first tile, is read off their negated rows (_negated_row).
+    first tile, is read off their negated rows.
     """
 
     def __init__(self, problem):
         quotient = problem.quotient
-        n = len(quotient)
+        n = quotient.size
         self.p0 = p0 = quotient.pivots[0]
-        rows = quotient.heads(set().union(*problem.projected))
+        first = problem.projected[0]
+        self.kept = kept = quotient.heads(set().union(*problem.projected), first)
+        rows = kept.rows
         self.cells = [(i * n, rows[y]) for i, res in enumerate(problem.projected) for y in set(res)]
         self.heads = [None] * (n // p0)
         self.full = (1 << n * len(problem.projected)) - 1
         self.rep = self.full // ((1 << p0) - 1)  # bit 0 of every block of p_0 bits
-        self.rows = [_negated_row(rows[y], p0) for y in problem.projected[0]]
+        self.rows = [kept.back[y] for y in first]
         self.masks = [None] * n
 
     def providers(self, y):
@@ -147,15 +140,16 @@ def solve_quotient(tiles, lat, mode="all"):
     tries the placements covering it in the order of the first tile's
     points.  Placement a puts residue number a in the co-tile, so the
     placements chosen are a solution's mask.  The "all" mode is complete,
-    and its solutions come sorted by sorted_members, decoded with this
-    quotient.  Infeasible projections return an empty list.
+    and its solutions come in the order of sorted_members, compared on the
+    kept rank of each member's residue number, with no decoding.
+    Infeasible projections return an empty list.
     """
     if mode not in ("all", "first"):
         raise InputContractError("mode must be 'all' or 'first'")
     problem = SearchProblem.build(tiles, lat)
     if not problem.feasible:
         return []
-    n = len(problem.quotient)
+    n = problem.quotient.size
     placements = _Placements(problem)
     masks, mask_of, full, p0 = placements.masks, placements.mask, placements.full, placements.p0
     rows = placements.rows[::-1]
@@ -182,7 +176,8 @@ def solve_quotient(tiles, lat, mode="all"):
             if not mask & covered:
                 stack.append((covered | mask, chosen | 1 << a))
     if len(found) > 1:
-        found.sort(key=lambda chosen: sorted(problem.quotient.decode(_bits(chosen))))
+        rank = placements.kept.rank.__getitem__
+        found.sort(key=lambda chosen: sorted(map(rank, _bits(chosen))))
     return [PeriodicSet(lat, chosen) for chosen in found]
 
 
@@ -245,11 +240,13 @@ def _on_stabilizer(aset):
     """Whether the stabilizer of a periodic set is its lattice: no a - a0 keeps the
     mask (search_periodic_cotile), each sum read off the members' head rows."""
     quotient, mask = aset.lattice.quotient(), aset.mask
-    p0 = quotient.pivots[0]
     a0, *others = members = _bits(mask)
-    rows = quotient.heads(members)
-    back = _negated_row(rows[a0], p0)
-    moved = [_plus(back, m, p0) for m in members]   # A - a0
+    if not others:
+        return True
+    p0 = quotient.pivots[0]
+    kept = quotient.heads(members, (a0,))
+    rows, back = kept.rows, kept.back[a0]
+    moved = [_plus(back, m, p0) for m in others]   # A - a0 without its 0
     return not any(all(mask >> _plus(rows[a], x, p0) & 1 for x in moved) for a in others)
 
 

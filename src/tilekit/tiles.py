@@ -189,21 +189,26 @@ class PeriodicRationalFunction:
     @staticmethod
     def make(lattice, mapping):
         """The function with the given values on canonical residues of lattice
-        and 0 on the residues the mapping leaves out."""
-        quotient, keys = lattice.quotient(), list(mapping)
+        and 0 on the residues the mapping leaves out.  Each coordinate of a
+        residue is read by lattice._integers."""
+        quotient = lattice.quotient()
+        try:
+            keys = list(map(_integers, mapping))
+        except InputContractError as error:
+            raise InputContractError(f"a key is not a canonical residue of {lattice}: {error}") from None
         numbers = quotient.numbers([r for r in keys if len(r) == lattice.dim])
         if len(numbers) < len(keys) or quotient.decode(numbers) != keys:
             for r in keys:
                 if len(r) != lattice.dim or quotient.decode(quotient.numbers([r])) != [r]:
                     raise InputContractError(f"{r} is not a canonical residue of {lattice}")
         values = dict(zip(numbers, map(Fraction, mapping.values())))
-        return _from_fractions(lattice, [values.get(a, 0) for a in range(len(quotient))])
+        return _from_fractions(lattice, [values.get(a, 0) for a in range(quotient.size)])
 
     @staticmethod
     def constant(lattice, c):
         c = Fraction(c)
         return PeriodicRationalFunction(
-            lattice, c.denominator, (c.numerator,) * len(lattice.quotient()))
+            lattice, c.denominator, (c.numerator,) * lattice.quotient().size)
 
     @staticmethod
     def from_callable(lattice, fn):
@@ -339,7 +344,7 @@ def _canonical(lattice, den, nums):
 def indicator(aset):
     """1_A as a periodic rational function on A's presentation lattice."""
     return PeriodicRationalFunction(aset.lattice, 1, tuple(
-        [aset.mask >> a & 1 for a in range(len(aset.lattice.quotient()))]))
+        [aset.mask >> a & 1 for a in range(aset.lattice.quotient().size)]))
 
 
 def convolve_ints(g, quotient, values):

@@ -14,6 +14,7 @@ from tilekit.lattice import (
     Lattice,
     PeriodicSet,
     QuotientGroup,
+    _bits,
     _quotients,
     _sublattices,
     enumerate_points,
@@ -21,6 +22,7 @@ from tilekit.lattice import (
     hnf,
     stabilizer,
     vadd,
+    vneg,
     vscale,
 )
 from tilekit.solve import search_periodic_cotile
@@ -366,19 +368,62 @@ def test_numbers_and_heads_match_reduce(lat, vectors):
     assert numbers == tuple(index_of[lat.reduce(v)] for v in vectors)
     assert q.decode(numbers) == [lat.reduce(v) for v in vectors]
     n, p0 = len(q), lat.pivots[0]
-    rows = q.heads(set(numbers))
-    assert sorted(rows) == sorted(set(numbers))
-    for y, row in rows.items():
-        assert row == [index_of[lat.reduce(vadd(residues[h], residues[y]))]
-                       for h in range(0, n, p0)]
+    kept = q.heads(numbers, numbers[:1])
+    rows = kept.rows
+    assert type(rows) is list and len(rows) == n
+    assert all(rows[y] is not None for y in numbers)
+    # every held row, inverted ones included, lists the sums with the heads
+    for y, row in enumerate(rows):
+        if row is not None:
+            assert row == tuple(index_of[lat.reduce(vadd(residues[h], residues[y]))]
+                                for h in range(0, n, p0))
     # rotating each head entry by t inside its block of p_0 numbers gives the
     # whole translation row, and the row of -y inverts it
-    for y, row in rows.items():
-        whole = [h - h % p0 + (h + t) % p0 for h in row for t in range(p0)]
+    for y in numbers:
+        whole = [h - h % p0 + (h + t) % p0 for h in rows[y] for t in range(p0)]
         assert whole == [index_of[lat.reduce(vadd(residues[a], residues[y]))] for a in range(n)]
-        (back,) = q.heads([whole.index(0)]).values()
+        back = q.heads([y], [y]).back[y]
+        assert back is rows[index_of[lat.reduce(vneg(residues[y]))]] is rows[whole.index(0)]
         back = [h - h % p0 + (h + t) % p0 for h in back for t in range(p0)]
         assert [back[c] for c in whole] == list(range(n))
+    # heads reads rows in place: asking again returns the same lists
+    assert q.heads(numbers) is kept and all(kept.rows[y] is rows[y] for y in numbers)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hnf_lattices(24), st.data())
+def test_rank_sort_orders_sets_as_sorted_members(lat, data):
+    # The kept rank against itertools.product's lexicographic order and the
+    # sort solve_quotient makes with it against the decode-based
+    # sorted_members, on sets of any sizes drawn as random masks.
+    n = lat.index()
+    rank = lat.quotient().heads(()).rank
+    assert rank == [canonical_residues(lat).index(r) for r in residue_order(lat)]
+    masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=2, max_size=8))
+    sets = [PeriodicSet(lat, mask) for mask in masks]
+    by_rank = sorted(sets, key=lambda a: sorted(map(rank.__getitem__, _bits(a.mask))))
+    assert by_rank == sorted(sets, key=lambda a: a.sorted_members)
+
+
+_ENTRIES = st.one_of(st.integers(-2, 6), st.integers(-2, 6).map(float), st.booleans(),
+                     st.sampled_from([0.5, -1.5, float("nan"), float("inf"), "1", "2"]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_ENTRIES, min_size=1, max_size=3))
+def test_diagonal_entries_follow_the_document_integer_rule(entries):
+    # an integer-valued float reads as the int; a fraction, a bool or a
+    # string is an input error, never a float pivot or a later TypeError
+    ints = [int(e) if type(e) is float and e.is_integer() else e for e in entries]
+    if not all(type(e) is int and e > 0 for e in ints):
+        with pytest.raises(InputContractError):
+            Lattice.diagonal(entries)
+        return
+    lat = Lattice.diagonal(entries)
+    d = len(ints)
+    assert lat == hnf(d, [[p if i == j else 0 for i in range(d)] for j, p in enumerate(ints)])
+    assert all(type(x) is int for col in lat.basis for x in col)
+    assert PeriodicSet.make(lat, [(1,) * d]).sorted_members == (tuple(1 % p for p in ints),)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -666,7 +711,7 @@ def test_a_second_sweep_builds_no_quotient(monkeypatch):
 
 
 def test_quotient_budget_holds_across_a_sweep_and_a_torus(monkeypatch):
-    # The index-24 sweep of the box pair holds ~337,000 residue numbers in
+    # The index-24 sweep of the box pair holds ~469,000 residue numbers in
     # its quotients, tables and head rows, more than this lowered budget, so
     # it drops some of its own; its answer does not change and the budget
     # holds, also after the domino co-tile on 40Z x 40Z keeps its
@@ -680,19 +725,27 @@ def test_quotient_budget_holds_across_a_sweep_and_a_torus(monkeypatch):
     assert search_periodic_cotile(box_pair(), 24) == found
     assert _quotients.held == _held(_quotients) <= budget
     # the head rows the sweep keeps are counted at the n * n / p_0 numbers
-    # they can hold, and equal sums read off numbers and decode
-    rows = [(key[0], value) for key, value in _quotients.values.items()
-            if len(key) == 2 and key[1] is None and len(key[0]) == 3]
-    assert rows
-    for basis, kept in rows:
+    # they can hold, with n for the index of negated rows and n for the
+    # rank; every held row, inverted ones included, equals sums read off
+    # numbers and decode, and the row of -y is the row of the number of -y
+    stores = [(key[0], value) for key, value in _quotients.values.items()
+              if len(key) == 2 and key[1] is None and len(key[0]) == 3]
+    assert stores
+    inverted = 0
+    for basis, kept in stores:
         lat = Lattice(3, basis)
         q, p0 = lat.quotient(), lat.pivots[0]
         n = len(q)
-        assert len(kept) == n * n // p0
+        assert len(kept) == n * n // p0 + 2 * n
+        assert len(kept.rows) == len(kept.back) == n
         heads = q.decode(range(0, n, p0))
         for y, r in enumerate(q.decode(range(n))):
-            if kept[y * n // p0] is not None:
-                assert kept[y * n // p0:(y + 1) * n // p0] == list(q.numbers(vadd(r, h) for h in heads))
+            if kept.rows[y] is not None:
+                assert kept.rows[y] == q.numbers(vadd(r, h) for h in heads)
+            if kept.back[y] is not None:
+                assert kept.back[y] is kept.rows[q.numbers([vneg(r)])[0]]
+                inverted += 1
+    assert inverted
     assert _quotients.held == _held(_quotients) <= budget
     torus = Lattice.diagonal([40, 40])
     domino = Tile.make(2, [(0, 0), (1, 0)])
@@ -713,13 +766,15 @@ def test_an_evicted_quotient_is_rebuilt_equal(monkeypatch):
     shifts = vectors[:6] + [(0, 1, 0), (0, 0, 1)]
     numbers = q.numbers(vectors)
     tables = [q.translation(v) for v in shifts]
-    heads = q.heads(range(len(q)))
-    # rows already walked are read back without a walk
+    kept = q.heads(range(len(q)), range(len(q)))
+    heads = list(kept.rows)
+    # rows already walked are read back in place, without a walk
     steps = []
     translation = QuotientGroup.translation
     monkeypatch.setattr(QuotientGroup, "translation",
                         lambda self, *args: steps.append(args) or translation(self, *args))
-    assert q.heads(range(len(q))) == heads and q.heads([5, 0, 5]) == {5: heads[5], 0: heads[0]}
+    assert q.heads(range(len(q))) is kept and kept.rows == heads
+    assert q.heads([5, 0, 5], [5]) is kept and kept.back[5] is kept.rows[q.numbers([(-1, -2, 0)])[0]]
     assert steps == []
     monkeypatch.setattr(_quotients, "limit", 0)   # keeps only the entry made last
     Lattice.diagonal([5]).quotient()
@@ -729,7 +784,7 @@ def test_an_evicted_quotient_is_rebuilt_equal(monkeypatch):
     assert rebuilt is not q
     assert rebuilt.numbers(vectors) == numbers
     assert [rebuilt.translation(v) for v in shifts] == tables
-    assert rebuilt.heads(range(len(q))) == heads
+    assert rebuilt.heads(range(len(q))).rows == heads
     assert steps    # the evicted rows were walked again
     assert len(_quotients.values) == 1
     assert _quotients.held == _held(_quotients) == len(q)

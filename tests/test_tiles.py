@@ -144,6 +144,38 @@ def test_tile_coordinates_follow_the_document_integer_rule():
             Tile.make(1, [(0,), (bad,)])
 
 
+def test_function_residues_follow_the_document_integer_rule():
+    # a bool is not read as the residue it equals, and a string is an input
+    # error, not a TypeError; (0.0,) reads as (0,)
+    lat = Lattice.diagonal([2])
+    for bad in ((True,), ("1",), (0.5,)):
+        with pytest.raises(InputContractError, match="is not an integer"):
+            PeriodicRationalFunction.make(lat, {bad: 1})
+    fn = PeriodicRationalFunction.make(lat, {(0.0,): 1})
+    assert fn.nums == (1, 0) and fn == PeriodicRationalFunction.make(lat, {(0,): 1})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hnf_lattices(12), st.data())
+def test_function_residues_fuzz_the_document_integer_rule(lat, data):
+    residues = canonical_residues(lat)
+    chosen = data.draw(st.lists(st.sampled_from(residues), min_size=1, max_size=4, unique=True))
+    bad = st.sampled_from([True, False, 0.5, float("nan"), "0", "1"])
+    mapping = {}
+    for r in chosen:
+        key = tuple(data.draw(st.one_of(st.just(x), st.just(float(x)), bad)) for x in r)
+        mapping[key] = data.draw(st.integers(-3, 3))
+    # keys equal as tuples share one entry (True == 1), so the dict decides
+    if not all(type(x) is int or type(x) is float and x.is_integer() for k in mapping for x in k):
+        with pytest.raises(InputContractError, match="is not an integer"):
+            PeriodicRationalFunction.make(lat, mapping)
+        return
+    fn = PeriodicRationalFunction.make(lat, mapping)
+    ints = PeriodicRationalFunction.make(lat, {tuple(map(int, k)): v for k, v in mapping.items()})
+    assert (fn.den, fn.nums) == (ints.den, ints.nums)
+    assert all(type(a) is int for a in fn.nums)
+
+
 def test_weighted_tile_signed_combination():
     # difference of two one-dimensional indicators through the same code path
     lat = Lattice.diagonal([18])
