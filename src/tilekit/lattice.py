@@ -403,29 +403,25 @@ class QuotientGroup:
                 back[y], back[z] = rows[z], row
         return kept
 
-    def translation(self, v, keep=True):
+    def translation(self, v):
         """Translation by the integer vector v as a permutation of residue numbers.
 
-        Entry a is the number of lattice.reduce(residues[a] + v).  A kept
-        table, a tuple, is read straight from the quotient cache.  Otherwise,
-        with keep, the new table is kept there under (basis, v), as convolution
-        and heads want; without it, as the stabilizer probes want, it is built
-        for this call alone and evicts nothing.  The table is built from the top
-        coordinate down: a carry out of digit k subtracts basis column k from
-        the lower digits, exactly as Lattice.reduce does, so each run of
-        residues with equal top digit is a lower-dimensional table for one of
-        two vectors.
+        Entry a is the number of lattice.reduce(residues[a] + v).  The table,
+        a tuple, is kept in the quotient cache under (basis, v), as convolution
+        and heads want, and read from it in place.
         """
         key = self.lattice.basis, tuple(v)
         table = _quotients.values.get(key)
         if table is None:
-            table = self._table(len(self.pivots), list(key[1]))
-            if keep:
-                table = _quotients.get(key, tuple, table)
+            table = _quotients.get(key, tuple, self._table(len(self.pivots), list(key[1])))
         return table
 
     def _table(self, k, g):
-        """Translation table of the first k coordinates by the vector g."""
+        """Translation table of the first k coordinates by the vector g, a
+        list kept nowhere.  It is built from the top coordinate down: a carry
+        out of digit k subtracts basis column k from the lower digits, exactly
+        as Lattice.reduce does, so each run of residues with equal top digit
+        is a lower-dimensional table for one of two vectors."""
         if not k:  # Z^0 / L, the trivial group
             return [0]
         col = self.lattice.basis[k - 1]
@@ -511,8 +507,10 @@ def enumerate_sublattices(dim, n):
     Enumerates canonical bases directly: positive pivots with product n on the
     diagonal, the entry at row i of a later column ranging over [0, pivot_i).
     The lattices are kept as a tuple, up to SUBLATTICE_CACHE in all, so a
-    repeated sweep meets the same lattices and their kept quotients.
+    repeated sweep meets the same lattices and their kept quotients.  dim
+    and n are read by _integer.
     """
+    dim, n = _integer(dim), _integer(n)
     if dim < 1:
         raise InputContractError("dimension must be positive")
     if n < 1:
@@ -730,10 +728,11 @@ def label_stabilizer(lat, labels):
     the lattice found so far needs no test.  A shift stabilizes when it keeps
     the label of every residue outside the largest class: translation is a
     bijection, so the largest class is then kept too.  Each test reads labels
-    through a translation table that is not kept, so probing cannot evict the
-    tables that convolution reuses.  The coset x0 + found is kept as residue
-    numbers, the orbit of x0 under the tables of the shifts found, so a
-    candidate already in found costs one set lookup.
+    through a translation table built for it alone (QuotientGroup._table),
+    so probing cannot evict the tables that convolution reuses.  The coset
+    x0 + found is kept as residue numbers, the orbit of x0 under the tables
+    of the shifts found, so a candidate already in found costs one set
+    lookup.
     """
     quotient = lat.quotient()
     classes = {}
@@ -752,7 +751,7 @@ def label_stabilizer(lat, labels):
         if a in coset:
             continue
         v = vsub(x, x0)
-        table = quotient.translation(v, keep=False)
+        table = quotient._table(lat.dim, list(v))
         if [labels[table[b]] for b in tested] != expected:
             continue
         found = hnf(lat.dim, found.basis + (v,))

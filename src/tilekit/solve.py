@@ -27,6 +27,7 @@ from .lattice import (
     QuotientGroup,
     _avoiding,
     _bits,
+    _integer,
     _integer_kernel,
     _mask,
     enumerate_sublattices,
@@ -57,8 +58,8 @@ class SearchProblem:
     @staticmethod
     def build(tiles, lat):
         """Project on lat.quotient(), which raises RankDeficientError below
-        full rank.  The keep test's decoding and later sweeps share that
-        quotient, and its step tables, through the quotient cache."""
+        full rank.  solve_quotient, the keep test and later sweeps share that
+        quotient, and its tables and head rows, through the quotient cache."""
         if tiles.dim != lat.dim:
             raise InputContractError("tiles and lattice have different dimensions")
         quotient = lat.quotient()
@@ -78,81 +79,46 @@ def _plus(row, x, p0):
     return h - h % p0 + (h + x) % p0
 
 
-class _Placements:
-    """The placements of a feasible SearchProblem, read in place off the
-    kept head rows of its quotient (QuotientGroup.heads).
-
-    With n the index, bit i*n + y of the mask of placement a is set when
-    tile i covers residue number y from a.  mask(a) sums the mask of a's
-    block head from the rows of the tile points, the first time its block
-    is asked for, and rotates it inside each block of p_0 bits, as the rows
-    rotate.  providers(y), the placements y - f for the points f of the
-    first tile, is read off their negated rows.
-    """
-
-    def __init__(self, problem):
-        quotient = problem.quotient
-        n = quotient.size
-        self.p0 = p0 = quotient.pivots[0]
-        first = problem.projected[0]
-        self.kept = kept = quotient.heads(set().union(*problem.projected), first)
-        rows = kept.rows
-        self.cells = [(i * n, rows[y]) for i, res in enumerate(problem.projected) for y in set(res)]
-        self.heads = [None] * (n // p0)
-        self.full = (1 << n * len(problem.projected)) - 1
-        self.rep = self.full // ((1 << p0) - 1)  # bit 0 of every block of p_0 bits
-        self.rows = [kept.back[y] for y in first]
-        self.masks = [None] * n
-
-    def providers(self, y):
-        """The placements covering cell y, in the order of the first tile's points."""
-        return [_plus(row, y, self.p0) for row in self.rows]
-
-    def mask(self, a):
-        """The mask of placement a, made on first use and kept in masks."""
-        mask = self.masks[a]
-        if mask is None:
-            p0 = self.p0
-            t = a % p0
-            mask = self.heads[a // p0]
-            if mask is None:
-                block = a // p0
-                mask = self.heads[block] = sum(1 << (i + row[block]) for i, row in self.cells)
-            if t:
-                low = self.rep * ((1 << (p0 - t)) - 1)  # the bits that move up by t
-                mask = (mask & low) << t | (mask & ~low) >> (p0 - t)
-            self.masks[a] = mask
-        return mask
-
-
 def solve_quotient(tiles, lat, mode="all"):
     """All (or the first) L-periodic joint co-tiles of the tuple.
 
     An exact cover of Z^d / L over big-int masks: one int holds the coverage
     of every tile, and a placement is legal when its mask misses the covered
     bits.  The tiles are projected once, to residue numbers, by
-    SearchProblem.build; _Placements reads the placements covering each cell
-    off the heads of the digit-0 blocks and makes a placement's mask when
-    the search first tries it.  A state, the covered bits and the mask of
-    the placements chosen, is never changed in place; states wait on an
-    explicit stack, so depth is not bounded by the recursion limit.  Each
-    state branches on the least residue the first tile leaves uncovered and
-    tries the placements covering it in the order of the first tile's
-    points.  Placement a puts residue number a in the co-tile, so the
-    placements chosen are a solution's mask.  The "all" mode is complete,
-    and its solutions come in the order of sorted_members, compared on the
-    kept rank of each member's residue number, with no decoding.
-    Infeasible projections return an empty list.
+    SearchProblem.build, and the placements are read in place off the kept
+    head rows of the quotient (QuotientGroup.heads).  With n the index, bit
+    i*n + y of the mask of placement a is set when tile i covers residue
+    number y from a.  The mask of a's block head is summed from the rows of
+    the tile points the first time its block is tried, and a's own mask is
+    that one rotated inside each block of p_0 bits, as the rows rotate; it
+    is kept once made.  The placements covering cell y, y - f for the points
+    f of the first tile, are read off their negated rows.
+
+    A state, the covered bits and the mask of the placements chosen, is
+    never changed in place; states wait on an explicit stack, so depth is
+    not bounded by the recursion limit.  Each state branches on the least
+    residue the first tile leaves uncovered and tries the placements
+    covering it in the order of the first tile's points.  Placement a puts
+    residue number a in the co-tile, so the placements chosen are a
+    solution's mask.  The "all" mode is complete, and its solutions come in
+    the order of sorted_members, compared on the kept rank of each member's
+    residue number, with no decoding.  Infeasible projections return an
+    empty list.
     """
     if mode not in ("all", "first"):
         raise InputContractError("mode must be 'all' or 'first'")
     problem = SearchProblem.build(tiles, lat)
     if not problem.feasible:
         return []
-    n = problem.quotient.size
-    placements = _Placements(problem)
-    masks, mask_of, full, p0 = placements.masks, placements.mask, placements.full, placements.p0
-    rows = placements.rows[::-1]
+    quotient, projected = problem.quotient, problem.projected
+    n, p0 = quotient.size, quotient.pivots[0]
+    kept = quotient.heads(set().union(*projected), projected[0])
+    cells = [(i * n, kept.rows[y]) for i, res in enumerate(projected) for y in res]
+    full = (1 << n * len(projected)) - 1
+    rep = full // ((1 << p0) - 1)  # bit 0 of every block of p_0 bits
+    heads = [None] * (n // p0)     # the masks of the block heads
+    masks = [None] * n
+    rows = [kept.back[y] for y in reversed(projected[0])]
     found = []
     stack = [(0, 0)]
     while stack:
@@ -164,19 +130,26 @@ def solve_quotient(tiles, lat, mode="all"):
                 if mode == "first":
                     break
             continue
-        # reversed(placements.providers(y)), inlined: a call per state costs
-        # a fifth of the search on zline
+        # the placements covering y, last first, read inline: a call per
+        # state costs a fifth of the search on zline
         block, c0 = divmod(y, p0)
         for row in rows:
             h = row[block]
             a = h - h % p0 + (h + c0) % p0
             mask = masks[a]
             if mask is None:
-                mask = mask_of(a)
+                b, t = divmod(a, p0)
+                mask = heads[b]
+                if mask is None:
+                    mask = heads[b] = sum(1 << (i + cell[b]) for i, cell in cells)
+                if t:
+                    low = rep * ((1 << (p0 - t)) - 1)  # the bits that move up by t
+                    mask = (mask & low) << t | (mask & ~low) >> (p0 - t)
+                masks[a] = mask
             if not mask & covered:
                 stack.append((covered | mask, chosen | 1 << a))
     if len(found) > 1:
-        rank = placements.kept.rank.__getitem__
+        rank = kept.rank.__getitem__
         found.sort(key=lambda chosen: sorted(map(rank, _bits(chosen))))
     return [PeriodicSet(lat, chosen) for chosen in found]
 
@@ -278,22 +251,27 @@ def search_periodic_cotile(tiles, max_index, mode="all"):
     members of A modulo S, so a co-tile whose stabilizer is larger was
     already found on S, at a smaller index; each co-tile is thus kept once,
     on its stabilizer.  In the "first" mode the first solution is on its
-    stabilizer for the same reason, and the sweep
-    stops there.  Returns (stabilizer, set) pairs by index, basis and sorted_members.
+    stabilizer for the same reason, and the sweep stops there.  Returns
+    (stabilizer, set) pairs by index, basis and sorted_members.  max_index
+    is read by lattice._integer.
     """
     if mode not in ("all", "first"):
         raise InputContractError("mode must be 'all' or 'first'")
+    max_index = _integer(max_index)
     if max_index < 1:
         raise InputContractError("max_index must be positive")
     size = tiles[0].size
     sizes_lcm = math.lcm(*[t.size for t in tiles])
+    differences = None   # made for the first index with more than one candidate
     out = []
     for n in range(size, max_index + 1, size):
         lattices = enumerate_sublattices(tiles.dim, n)
         if n % sizes_lcm:
             continue
         if len(lattices) > 1:  # a lone candidate costs one build either way
-            lattices = itertools.compress(lattices, _avoiding(tiles.dim, n, _differences(tiles)))
+            if differences is None:
+                differences = _differences(tiles)
+            lattices = itertools.compress(lattices, _avoiding(tiles.dim, n, differences))
         for lat in lattices:
             for aset in solve_quotient(tiles, lat, mode=mode):
                 if _on_stabilizer(aset):

@@ -19,8 +19,8 @@ from operator import add
 from types import MappingProxyType
 
 from .errors import InputContractError
-from .lattice import (Lattice, PeriodicSet, _integers, _mask, label_stabilizer, vadd, vneg, vsub,
-                      vscale)
+from .lattice import (Lattice, PeriodicSet, _integer, _integers, _mask, label_stabilizer, vadd,
+                      vneg, vsub, vscale)
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,9 @@ def normalize(tile):
 
 
 def dilate(tile, r):
-    """The tile r*F = {r f : f in F}; cardinality is preserved."""
+    """The tile r*F = {r f : f in F}; cardinality is preserved.  r is read
+    by lattice._integer."""
+    r = _integer(r)
     if r < 1:
         raise InputContractError("dilation factor must be a positive integer")
     return Tile(tile.dim, frozenset(vscale(r, p) for p in tile.points))

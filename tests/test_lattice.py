@@ -26,7 +26,8 @@ from tilekit.lattice import (
     vscale,
 )
 from tilekit.solve import search_periodic_cotile
-from tilekit.tiles import PeriodicRationalFunction, Tile, TileTuple, WeightedTile, convolve, indicator
+from tilekit.tiles import (PeriodicRationalFunction, Tile, TileTuple, WeightedTile, convolve,
+                           dilate, indicator)
 from tilekit.verify import is_tiling
 from conftest import (
     box_pair,
@@ -426,6 +427,30 @@ def test_diagonal_entries_follow_the_document_integer_rule(entries):
     assert PeriodicSet.make(lat, [(1,) * d]).sorted_members == (tuple(1 % p for p in ints),)
 
 
+_DOMINO = Tile.make(2, [(0, 0), (1, 0)])
+_ARGUMENTS = {
+    "max_index": lambda v: search_periodic_cotile(TileTuple.make([_DOMINO]), v),
+    "dim": lambda v: enumerate_sublattices(v, 2),
+    "n": lambda v: enumerate_sublattices(2, v),
+    "r": lambda v: dilate(_DOMINO, v).sorted_points,
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_ARGUMENTS)), _ENTRIES)
+def test_integer_arguments_follow_the_document_integer_rule(name, x):
+    # max_index, dim, n and r are read as the entries of a diagonal are: an
+    # integer-valued float gives the int's answer, with int coordinates, and
+    # anything else that is not a positive int is an input error
+    call = _ARGUMENTS[name]
+    v = int(x) if type(x) is float and x.is_integer() else x
+    if type(v) is not int or v < 1:
+        with pytest.raises(InputContractError):
+            call(x)
+        return
+    assert repr(call(x)) == repr(call(v))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_labellings())
 def test_set_stabilizer_matches_reference_loop(instance):
@@ -804,8 +829,20 @@ def test_a_kept_table_outlives_its_quotient(monkeypatch):
     rebuilt = lat.quotient()                  # the index-4 quotient goes
     assert rebuilt is not q
     assert rebuilt.translation((1, 2, 3)) is table
-    assert rebuilt.translation([1, 2, 3], keep=False) is table
+    assert rebuilt.translation([1, 2, 3]) is table
     assert _quotients.held == _held(_quotients) == 48
+
+
+def test_stabilizer_probes_keep_no_table(monkeypatch):
+    # each probe builds its translation table for itself: on an empty cache
+    # the stabilizer leaves only its set's quotient behind
+    coarse = Lattice.diagonal([2, 3])
+    aset = PeriodicSet.make(coarse, [(0, 0), (1, 1)]).refine(hnf(2, [(4, 0), (2, 6)]))
+    monkeypatch.setattr(_quotients, "values", {})
+    monkeypatch.setattr(_quotients, "held", 0)
+    assert stabilizer(aset) == coarse   # found by probes off the index-24 lattice
+    assert list(_quotients.values) == [aset.lattice.basis]
+    assert _quotients.held == _held(_quotients) == 24
 
 
 @st.composite

@@ -23,7 +23,6 @@ from tilekit.solve import (
     _cycle_letters,
     _differences,
     _on_stabilizer,
-    _Placements,
     _Recoder,
     AllDPeriodic,
     SearchProblem,
@@ -154,30 +153,48 @@ def _placement_instances(draw):
     point = st.tuples(*[st.integers(-6, 6)] * d)
     tiles = [Tile.make(d, {(0,) * d} | draw(st.sets(point, max_size=4)))
              for _ in range(draw(st.integers(1, 2)))]
-    return TileTuple.make(tiles), lat, draw(st.permutations(range(lat.index())))
+    return TileTuple.make(tiles), lat
+
+
+def _reference_cover_masks(tiles, lat):
+    """Every exact cover of Z^d / L as a mask of placements, in the order of
+    sorted_members.  Each placement's mask is built point by point: every
+    sum a + f goes through Lattice.reduce and is numbered by its place in
+    residue_order, so no head row, rotation or numbers call is shared with
+    solve_quotient.  A tile that does not project one-to-one has no
+    placement, as in brute_force_quotient."""
+    residues = residue_order(lat)
+    index_of = {r: a for a, r in enumerate(residues)}
+    n = len(residues)
+    masks = []
+    for r in residues:
+        cells = [i * n + index_of[lat.reduce(vadd(r, f))]
+                 for i, tile in enumerate(tiles) for f in tile.sorted_points]
+        if len(set(cells)) < len(cells):
+            return []
+        masks.append(sum(1 << c for c in cells))
+    full = (1 << n * len(tiles.tiles)) - 1
+    found = []
+    stack = [(0, 0)]
+    while stack:
+        covered, chosen = stack.pop()
+        if covered == full:
+            found.append(chosen)
+            continue
+        y = next(c for c in range(n * len(tiles.tiles)) if not covered >> c & 1)
+        for a, mask in enumerate(masks):
+            if mask >> y & 1 and not mask & covered:
+                stack.append((covered | mask, chosen | 1 << a))
+    return sorted(found, key=lambda chosen: sorted(r for a, r in enumerate(residues)
+                                                   if chosen >> a & 1))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_placement_instances())
-def test_placements_match_per_point_reduce(instance):
-    # The reference builds each placement's mask point by point: every sum
-    # a + f goes through Lattice.reduce and is numbered by its place in
-    # residue_order, so it shares no code with the head rows or the rotation.
-    tiles, lat, order = instance
-    residues = residue_order(lat)
-    index_of = {r: a for a, r in enumerate(residues)}
-    n = len(residues)
-    placements = _Placements(SearchProblem.build(tiles, lat))
-    assert placements.masks == [None] * n
-    for a in order:  # masks are made on first use, in any order
-        ref = 0
-        for i, tile in enumerate(tiles):
-            for f in tile.sorted_points:
-                ref |= 1 << (i * n + index_of[lat.reduce(vadd(residues[a], f))])
-        assert placements.mask(a) == ref and placements.masks[a] == ref
-    for y, r in enumerate(residues):
-        assert placements.providers(y) == [index_of[lat.reduce(vsub(r, f))]
-                                           for f in tiles[0].sorted_points]
+def test_solve_quotient_matches_a_per_point_exact_cover(instance):
+    tiles, lat = instance
+    assert ([s.mask for s in solve_quotient(tiles, lat)]
+            == _reference_cover_masks(tiles, lat))
 
 
 def test_solve_quotient_depth_beyond_recursion_limit():
