@@ -9,20 +9,28 @@ free fiber choice per column.
 """
 
 from tilekit import (
-    CyclicFunction,
+    Lattice,
     MixedPeriodicSet,
     MixedTile,
+    PeriodicRationalFunction,
+    PeriodicSet,
+    Tile,
     classify,
+    convolve,
     cotile_conclusion,
+    indicator,
     ring_inverse,
 )
 from tilekit.verify import is_tiling
 
-# The inverse of 1_{0,1} in the ring on Z/3Z.
+# The inverse of 1_{0,1} in the ring on Z/3Z.  Functions on Z/3Z are the
+# functions on Z periodic under 3Z, so the check is an ordinary convolution.
 inv = ring_inverse({0, 1}, 3)
 print("inverse of {0,1} mod 3:", tuple(str(v) for v in inv.values))
-check = inv.convolve(CyclicFunction.indicator(3, {0, 1}))
-print("convolves back to delta:", check == CyclicFunction.delta(3))
+ring = Lattice.diagonal([3])
+g = PeriodicRationalFunction.make(ring, {(t,): v for t, v in enumerate(inv.values)})
+check = convolve(Tile.make(1, [(0,), (1,)]), g)
+print("convolves back to delta:", check == indicator(PeriodicSet.make(ring, [(0,)])))
 
 # Composite moduli are refused: invertibility genuinely fails there.
 try:

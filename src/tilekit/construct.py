@@ -98,7 +98,7 @@ def forcing_assignment(vectors, lat, w_list):
                 if got != min(target_cap, size):
                     raise InternalError(
                         f"span dimension {got} != min({target_cap}, {size}) "
-                        f"for subset {subset}; this is a bug")
+                        f"for subset {subset}")
     return tuple(assignment)
 
 
@@ -139,13 +139,13 @@ def brother_tiles(tile, aset):
 
     for b in brothers:
         if not verify.is_tiling(b, aset):
-            raise InternalError("companion fails to tile with the co-tile; bug")
+            raise InternalError("companion fails to tile with the co-tile")
     full = TileTuple.make(brothers + [tile])
     if not is_independent_tuple(full):
-        raise InternalError("companion tuple is not independent; bug")
+        raise InternalError("companion tuple is not independent")
     star_tuple = TileTuple.make(brothers[:d - 2] + [tile])
     if not has_property_star(star_tuple):
-        raise InternalError("companion tuple lacks span uniqueness; bug")
+        raise InternalError("companion tuple lacks span uniqueness")
     return TileTuple.make(brothers)
 
 

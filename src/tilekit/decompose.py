@@ -79,7 +79,7 @@ def dilation_check(tile, fn, level, r):
     if fn.is_integer_valued():
         q = compute_q(fn, tile.size)
         if r % q == 1 and not ok:
-            raise InternalError("dilation identity failed for r = 1 mod q; this is a bug")
+            raise InternalError("dilation identity failed for r = 1 mod q")
     return ok
 
 
@@ -288,7 +288,7 @@ def psi_by_span(tree, classes):
         if lhs != rhs:
             failures.append(prefix)
     if failures:
-        raise InternalError(f"span grouping identity fails at prefixes {failures}; bug")
+        raise InternalError(f"span grouping identity fails at prefixes {failures}")
 
     for space, fn in psi.items():
         stab = fn.stabilizer()
@@ -364,6 +364,5 @@ def bounded_poly_is_constant_check(fn, gamma, max_degree=None):
         return PolynomialCheck(False, None, None)
     constant = fn.stabilizer().contains_lattice(gamma)
     if not constant:
-        raise InternalError("bounded polynomial map not constant on cosets; "
-                            "this contradicts the theory and indicates a bug")
+        raise InternalError("bounded polynomial map not constant on cosets")
     return PolynomialCheck(True, deg, True)

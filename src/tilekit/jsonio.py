@@ -53,10 +53,8 @@ def parse_rational(x):
     raise InputContractError(f"not a rational number: {x!r}")
 
 
-def to_document(obj, comment=None):
+def to_document(obj):
     doc = {"schema": SCHEMA}
-    if comment:
-        doc["comment"] = comment
     if isinstance(obj, Lattice):
         doc.update(kind="lattice", dim=obj.dim, basis=[list(c) for c in obj.basis])
     elif isinstance(obj, PeriodicSet):
@@ -143,16 +141,12 @@ def from_document(doc):
     raise InputContractError(f"unknown kind {kind!r}")
 
 
-def dump(obj, path, comment=None):
+def dump(obj, path):
     with open(path, "w") as fh:
-        json.dump(to_document(obj, comment), fh, indent=2)
+        json.dump(to_document(obj), fh, indent=2)
         fh.write("\n")
 
 
 def load(path):
     with open(path) as fh:
         return from_document(json.load(fh))
-
-
-def dumps(obj, comment=None):
-    return json.dumps(to_document(obj, comment), indent=2)

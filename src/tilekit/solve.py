@@ -360,7 +360,7 @@ def search_Z_cotile(tile):
     found = solve_quotient(TileTuple.make([tile]), Lattice.diagonal([period]), mode="first")
     if not found:
         raise InternalError(f"no co-tile of period {period} for a cycle of the "
-                            "placement automaton; this is a bug")
+                            "placement automaton")
     return ZTilingResult(found[0], bound, checked)
 
 
@@ -554,7 +554,7 @@ def lift_to_full_period(tiles, gamma0, cotile):
     result = periodic_point_from_constraints(constraints, gamma0, ambient)
     out = verify.is_joint_cotile(tiles, result)
     if not out:
-        raise InternalError("decoded cycle fails verification; this is a bug")
+        raise InternalError("decoded cycle fails verification")
     return result
 
 
@@ -648,7 +648,7 @@ def piecewise_to_periodic(tiles, pieces, declared_stabilizers=None):
         solved = periodic_point_from_constraints(conv_targets, gamma0, lam)
         for tile, conv in conv_targets:
             if convolve(tile, indicator(solved)) != conv:
-                raise InternalError("re-solved piece fails its convolution targets; bug")
+                raise InternalError("re-solved piece fails its convolution targets")
         replacements.append(indicator(solved))
 
     total = replacements[0]
@@ -660,7 +660,7 @@ def piecewise_to_periodic(tiles, pieces, declared_stabilizers=None):
     result = total.support_set().on_stabilizer()
     out = verify.is_joint_cotile(tiles, result)
     if not out:
-        raise InternalError("assembled co-tile fails verification; this is a bug")
+        raise InternalError("assembled co-tile fails verification")
     return result
 
 

@@ -153,9 +153,8 @@ class WeightedTile:
         return WeightedTile(tile.dim, tuple((p, 1) for p in tile.sorted_points))
 
     @staticmethod
-    def delta(dim, v=None):
-        v = (0,) * dim if v is None else tuple(v)
-        return WeightedTile(dim, ((v, 1),))
+    def delta(dim):
+        return WeightedTile(dim, (((0,) * dim, 1),))
 
     def __eq__(self, other):
         return isinstance(other, WeightedTile) and (self.dim, self.entries) == (other.dim, other.entries)

@@ -40,33 +40,14 @@ def _require_prime(p):
 
 @dataclass(frozen=True)
 class CyclicFunction:
-    """A function on Z/pZ with exact rational values."""
+    """A function on Z/pZ with exact rational values, values[t] at residue t.
+
+    It convolves as a PeriodicRationalFunction on the lattice pZ of Z^1
+    (tiles.convolve); this record only carries ring_inverse's answer.
+    """
 
     p: int
     values: tuple
-
-    @staticmethod
-    def delta(p, at=0):
-        _require_prime(p)
-        return CyclicFunction(p, tuple(Fraction(1 if i == at % p else 0)
-                                       for i in range(p)))
-
-    @staticmethod
-    def indicator(p, subset):
-        _require_prime(p)
-        subset = {s % p for s in subset}
-        return CyclicFunction(p, tuple(Fraction(1 if i in subset else 0)
-                                       for i in range(p)))
-
-    def convolve(self, other):
-        if self.p != other.p:
-            raise InputContractError("mismatched moduli")
-        p = self.p
-        vals = [Fraction(0)] * p
-        for i in range(p):
-            for j in range(p):
-                vals[(i + j) % p] += self.values[i] * other.values[j]
-        return CyclicFunction(p, tuple(vals))
 
 
 # The kernel of the circulant grows steeply with p: on a 2-vCPU Xeon with
@@ -99,7 +80,7 @@ def ring_inverse(subset, p):
                             "impossible for prime p and a proper subset")
     x, t = kernel[0][:p], kernel[0][p]
     if any(sum(x[(i - s) % p] for s in subset) != (t if i == 0 else 0) for i in range(p)):
-        raise InternalError("computed inverse fails its defining identity; bug")
+        raise InternalError("computed inverse fails its defining identity")
     return CyclicFunction(p, tuple(Fraction(a, t) for a in x))
 
 
@@ -196,13 +177,6 @@ class MixedPeriodicSet:
         return (c, b)
 
 
-def mixed_convolution_is_one(tile, aset):
-    """Whether 1_F * 1_A = 1 on Z x (Z/pZ), checked on the lifts to Z^2."""
-    if tile.p != aset.p:
-        raise InputContractError("mismatched moduli")
-    return _verify.is_tiling(tile.lifted(), aset.lifted()).ok
-
-
 @dataclass(frozen=True)
 class TorsionVerdict:
     kind: str                      # "full_fiber" | "generic"
@@ -224,8 +198,11 @@ def cotile_conclusion(tile, aset):
     Full-fiber tiles delegate to Z: the projection of A must co-tile the base
     tile, with one free fiber choice per column.
     """
-    if not mixed_convolution_is_one(tile, aset):
+    if tile.p != aset.p:
+        raise InputContractError("mismatched moduli")
+    if not _verify.is_tiling(tile.lifted(), aset.lifted()).ok:
         raise NotACotileError("1_F * 1_A is not identically 1 on the mixed group")
+    gen = aset.stabilizer_generator()
     cls = classify(tile)
     if cls.is_full_fiber:
         base_cotile = aset.projection()
@@ -233,9 +210,7 @@ def cotile_conclusion(tile, aset):
         if not rep:
             raise InternalError("full-fiber projection fails to co-tile; "
                                 "contradicts the mixed verification")
-        return TorsionVerdict("full_fiber", True, (aset.period, 0),
-                              cls.base, base_cotile, None)
-    gen = aset.stabilizer_generator()
+        return TorsionVerdict("full_fiber", True, gen, cls.base, base_cotile, None)
     p = tile.p
     n0 = next(n for n in tile.columns if 0 < len(tile.fiber(n)) < p)
     f0 = tile.fiber(n0)
@@ -247,6 +222,5 @@ def cotile_conclusion(tile, aset):
     conv = convolve(WeightedTile.make(2, {(0, t): 1 for t in f0}), ind)
     back = WeightedTile.make(2, {(0, t): int(v * lcm) for t, v in enumerate(inverse.values)})
     if convolve(back, conv) != ind.scale(lcm):
-        raise InternalError("ring-inverse round trip failed to recover the "
-                            "indicator; this is a bug")
+        raise InternalError("ring-inverse round trip failed to recover the indicator")
     return TorsionVerdict("generic", True, gen, None, None, True)

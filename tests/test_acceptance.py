@@ -32,8 +32,8 @@ from tilekit.solve import (
     search_periodic_cotile,
     solve_quotient,
 )
-from tilekit.tiles import PeriodicRationalFunction, Tile, TileTuple, indicator
-from tilekit.torsion import CyclicFunction, ring_inverse
+from tilekit.tiles import PeriodicRationalFunction, Tile, TileTuple, convolve, indicator
+from tilekit.torsion import ring_inverse
 from tilekit import verify
 from conftest import (
     box_cotile,
@@ -199,11 +199,15 @@ def test_criterion_08_ring_inverse_exhaustive():
     start = time.monotonic()
     count = 0
     for p in (2, 3, 5, 7):
-        delta = CyclicFunction.delta(p)
+        # g * 1_{F0} = delta_0 by the general convolution on the lattice pZ of Z
+        ring = Lattice.diagonal([p])
+        delta = indicator(PeriodicSet.make(ring, [(0,)]))
         for size in range(1, p):
             for subset in itertools.combinations(range(p), size):
                 inv = ring_inverse(set(subset), p)
-                assert inv.convolve(CyclicFunction.indicator(p, subset)) == delta
+                g = PeriodicRationalFunction.make(
+                    ring, {(t,): v for t, v in enumerate(inv.values)})
+                assert convolve(Tile.make(1, [(s,) for s in subset]), g) == delta
                 count += 1
     assert count == 164
     elapsed = time.monotonic() - start

@@ -487,6 +487,15 @@ def test_zp_ring_inverse_above_the_limit_is_contract_violation(capsys, tmp_path)
     assert (code, out, err) == (0, "classification: generic\n", "")
 
 
+def test_zp_mismatched_moduli_is_contract_violation(capsys, tmp_path):
+    tile = _write(tmp_path / "tile.json", {"kind": "mixed_tile", "p": 2,
+                                           "points": [[0, 0], [0, 1]]})
+    cot = _write(tmp_path / "cot.json", {"kind": "mixed_periodic_set", "p": 3, "period": 1,
+                                         "members": [[0, 0]]})
+    code, out, err = run(capsys, "zp", "--p", "2", "--tile", tile, "--cotile", cot)
+    assert (code, out, err) == (2, "", "tilekit: input contract violation: mismatched moduli\n")
+
+
 def test_zero_denominator_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--tiles", fx("six_block_tile.json"),
                          "--cotile", fx("six_block_fn.json"), "--level", "1/0")

@@ -1,4 +1,5 @@
-"""Each demo exits 0 and prints exactly the bytes pinned here (sha256 of stdout).
+"""Each demo exits 0, warns of nothing (it runs with -W error) and prints
+exactly the bytes pinned here (sha256 of stdout).
 
 A change that alters what a demo prints must re-pin its hash on purpose.
 """
@@ -32,7 +33,8 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_demo_prints_pinned_bytes(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+    run = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / f"{name}.py")],
                          cwd=ROOT, env=env, capture_output=True, timeout=120)
     assert run.returncode == 0, run.stderr.decode()
+    assert run.stderr == b""
     assert hashlib.sha256(run.stdout).hexdigest() == PINNED[name]

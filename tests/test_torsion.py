@@ -8,27 +8,42 @@ from hypothesis import given, settings, strategies as st
 from tilekit import torsion
 from tilekit.decompose import is_prime
 from tilekit.errors import EmptyOrFullError, InputContractError, NotACotileError, NotPrimeError
+from tilekit.lattice import Lattice, PeriodicSet
+from tilekit.tiles import PeriodicRationalFunction, Tile, convolve, indicator
 from tilekit.torsion import (
     RING_INVERSE_MAX_P,
-    CyclicFunction,
     MixedPeriodicSet,
     MixedTile,
     classify,
     cotile_conclusion,
-    mixed_convolution_is_one,
     ring_inverse,
 )
+from tilekit.verify import is_tiling
+
+
+def _inverts(inverse, subset):
+    """g * 1_{F0} = delta_0, by the general convolution on the lattice pZ of Z."""
+    ring = Lattice.diagonal([inverse.p])
+    g = PeriodicRationalFunction.make(ring, {(t,): v for t, v in enumerate(inverse.values)})
+    return (convolve(Tile.make(1, [(s,) for s in subset]), g)
+            == indicator(PeriodicSet.make(ring, [(0,)])))
+
+
+def _tiles(tile, aset):
+    """1_F * 1_A = 1 on the mixed group, checked on the lifts to Z^2."""
+    return is_tiling(tile.lifted(), aset.lifted()).ok
 
 
 def test_ring_inverse_identity_and_group_element():
-    assert ring_inverse({0}, 5) == CyclicFunction.delta(5)
+    assert ring_inverse({0}, 5).values == (1, 0, 0, 0, 0)
     assert ring_inverse({1}, 2).values == (Fraction(0), Fraction(1))
 
 
 def test_ring_inverse_frozen_example():
     g = ring_inverse({0, 1}, 3)
     assert g.values == (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2))
-    assert g.convolve(CyclicFunction.indicator(3, {0, 1})) == CyclicFunction.delta(3)
+    assert _inverts(g, {0, 1})
+    assert not _inverts(ring_inverse({0, 2}, 3), {0, 1})
 
 
 def test_ring_inverse_exhaustive_small_primes():
@@ -36,9 +51,7 @@ def test_ring_inverse_exhaustive_small_primes():
     for p in (2, 3, 5, 7):
         for size in range(1, p):
             for subset in itertools.combinations(range(p), size):
-                inv = ring_inverse(set(subset), p)
-                assert inv.convolve(CyclicFunction.indicator(p, subset)) \
-                    == CyclicFunction.delta(p)
+                assert _inverts(ring_inverse(set(subset), p), subset)
                 count += 1
     assert count == 164
 
@@ -81,7 +94,7 @@ def test_ring_inverse_errors():
 
 def test_ring_inverse_refuses_primes_above_the_limit(monkeypatch):
     assert is_prime(RING_INVERSE_MAX_P)
-    assert ring_inverse({0}, RING_INVERSE_MAX_P) == CyclicFunction.delta(RING_INVERSE_MAX_P)
+    assert ring_inverse({0}, RING_INVERSE_MAX_P).values == (1,) + (0,) * (RING_INVERSE_MAX_P - 1)
     p = next(q for q in itertools.count(RING_INVERSE_MAX_P + 1) if is_prime(q))
 
     def no_circulant(rows, width):
@@ -127,7 +140,7 @@ def test_classify_round_trip_random_bases():
 def test_generic_cotile_is_periodic():
     tile = MixedTile.make(2, [(0, 0), (1, 1)])
     aset = MixedPeriodicSet.make(2, 1, [(0, 0)])
-    assert mixed_convolution_is_one(tile, aset)
+    assert _tiles(tile, aset)
     verdict = cotile_conclusion(tile, aset)
     assert verdict.kind == "generic"
     assert verdict.periodic
@@ -160,7 +173,7 @@ def test_full_column_tile_with_free_fiber_choices():
     # periodic choice verifies, and the projection co-tiles {1} in Z
     tile = MixedTile.make(3, [(1, t) for t in range(3)])
     aset = MixedPeriodicSet.make(3, 2, [(0, 1), (1, 2)])
-    assert mixed_convolution_is_one(tile, aset)
+    assert _tiles(tile, aset)
     verdict = cotile_conclusion(tile, aset)
     assert verdict.kind == "full_fiber"
     assert verdict.base.points == frozenset({(1,)})
@@ -203,6 +216,20 @@ def test_cotile_conclusion_rejects_non_cotile():
         cotile_conclusion(tile, MixedPeriodicSet.make(2, 2, [(0, 0)]))
 
 
+def test_cotile_conclusion_rejects_mismatched_moduli():
+    tile = MixedTile.make(2, [(0, 0), (0, 1)])
+    with pytest.raises(InputContractError, match="mismatched moduli"):
+        cotile_conclusion(tile, MixedPeriodicSet.make(3, 1, [(0, 0)]))
+
+
+def test_full_fiber_verdict_reports_the_least_generator():
+    # presented on period 2, the co-tile {(0, 0), (1, 0)} is fixed by (1, 0)
+    tile = MixedTile.make(2, [(0, 0), (0, 1)])
+    verdict = cotile_conclusion(tile, MixedPeriodicSet.make(2, 2, [(0, 0), (1, 0)]))
+    assert verdict.kind == "full_fiber"
+    assert verdict.stabilizer_generator == (1, 0)
+
+
 def test_generic_verified_cotiles_have_positive_rank():
     # small sweep: every verified pair reports a Z-direction stabilizer element
     cases = [
@@ -215,7 +242,7 @@ def test_generic_verified_cotiles_have_positive_rank():
     for tile, aset in cases:
         if classify(tile).kind != "generic":
             continue
-        if not mixed_convolution_is_one(tile, aset):
+        if not _tiles(tile, aset):
             continue
         verdict = cotile_conclusion(tile, aset)
         assert verdict.stabilizer_generator[0] >= 1
@@ -273,14 +300,12 @@ def test_mixed_checks_match_reference_loops(case):
     generator = _reference_stabilizer_generator(aset)
     assert aset.stabilizer_generator() == generator
     tiles = _reference_convolution_is_one(tile, aset)
-    assert mixed_convolution_is_one(tile, aset) == tiles
+    assert _tiles(tile, aset) == tiles
     if not tiles:
         with pytest.raises(NotACotileError):
             cotile_conclusion(tile, aset)
         return
     verdict = cotile_conclusion(tile, aset)
+    assert verdict.stabilizer_generator == generator
     if verdict.kind == "generic":
-        assert verdict.stabilizer_generator == generator
         assert verdict.recovered_via_inverse
-    else:
-        assert verdict.stabilizer_generator == (aset.period, 0)
