@@ -232,7 +232,7 @@ class Lattice:
         layer.  It is kept in a module-level cache, not on the lattice, so a
         lattice that outlives its computation does not pin it; the cache
         counts each quotient as its index and drops the oldest quotients,
-        translation tables and head rows once QUOTIENT_BUDGET is passed.
+        translation tables, head rows and homs once QUOTIENT_BUDGET is passed.
         """
         if not self.is_full_rank:
             raise RankDeficientError("quotient requires a full-rank lattice")
@@ -276,7 +276,7 @@ class Lattice:
         return f"Lattice(dim={self.dim}, basis={list(map(list, self.basis))})"
 
 
-QUOTIENT_BUDGET = 1 << 21  # residue numbers in kept quotients and translation tables
+QUOTIENT_BUDGET = 1 << 21  # residue numbers in kept quotients, tables, head rows and homs
 SUBLATTICE_CACHE = 4096    # lattices kept by enumerate_sublattices, in all
 
 
@@ -304,15 +304,16 @@ class QuotientGroup:
 
     Residue number a has digits a_i in [0, pivot_i) with the first coordinate
     varying fastest: a = a_0 + p_0 * (a_1 + p_1 * (a_2 + ...)).  This class,
-    with the rank of its kept head rows, is the only code that knows that
-    order, which a function's numerators and the bits of a PeriodicSet's
-    mask follow: numbers is its one encoder and decode its one decoder, and
-    neither builds the residues tuple.  size is the index n.  The instance
-    holds no table or row: translation and heads keep them in the cache of
-    Lattice.quotient(), under (basis, shift) and (basis, None), where
-    callers read them in place, so they outlive an evicted quotient and
-    count against QUOTIENT_BUDGET.  Nothing here refers back to the
-    instance, so it forms no reference cycle.
+    with the rank of its kept head rows and the tables of its kept homs, is
+    the only code that knows that order, which a function's numerators and
+    the bits of a PeriodicSet's mask follow: numbers is its one encoder and
+    decode its one decoder, and neither builds the residues tuple.  size is
+    the index n.  The instance holds no table, row or hom: translation,
+    heads and characters keep them in the cache of Lattice.quotient(),
+    under (basis, shift), (basis, None) and (basis, p), where callers read
+    them in place, so they outlive an evicted quotient and count against
+    QUOTIENT_BUDGET.  Nothing here refers back to the instance, so it forms
+    no reference cycle.
     """
 
     def __init__(self, lattice):
@@ -403,6 +404,14 @@ class QuotientGroup:
                 back[y], back[z] = rows[z], row
         return kept
 
+    def characters(self, p):
+        """The homomorphisms chi of this group onto Z/p^k, k >= 1, that are
+        not chi' mod p^k for some chi' onto Z/p^(k+1), one per class under
+        the units of Z/p^k: a _Characters, kept in the quotient cache under
+        (basis, p)."""
+        return _quotients.get((self.lattice.basis, p), _Characters, self.pivots,
+                              self.lattice.basis, p)
+
     def translation(self, v):
         """Translation by the integer vector v as a permutation of residue numbers.
 
@@ -475,6 +484,78 @@ class _HeadRows:
         return rank
 
 
+class _Characters:
+    """The kept homomorphisms of QuotientGroup.characters: homs[i] = (k, c),
+    chi(x) = c.x mod p^k, by k descending; table(i) lists chi by residue
+    number, summed from the digits a = a_0 + p_0 * (a_1 + ...), and is made
+    the first time it is asked for.  Counted at the most it can hold, n
+    entries a hom, plus one for the record.
+
+    A hom to Z/q, q = p^K with K = v_p(n), is x -> c.x mod q for a row c
+    with c B = 0 (mod q), B the basis matrix, and the rows of n B^-1 (its
+    adjugate, upper triangular like B) span them: each is such a row, and
+    they span every c with c B in qZ^d modulo qZ^d, as multiplying by n / q
+    permutes that p-group.  So the p-part G_p, of order q, is cyclic when a
+    row has an entry prime to p; that row is then chi onto Z/q, one hom up
+    to units, and every hom onto a smaller Z/p^k is one reduced.  Otherwise
+    the rows are added up to all of their span.  A row whose entries have
+    gcd p^v with q is p^v chi for the one chi onto Z/p^k, k = K - v, with
+    row c / p^v, which is chi' mod p^k for a chi' onto Z/p^(k+1) exactly
+    when the row is p times a row.  The row whose first entry of least
+    valuation is p^v stands for its class under units.
+    """
+
+    __slots__ = ("p", "pivots", "homs", "tables")
+
+    def __init__(self, pivots, basis, p):
+        n, q, level = math.prod(pivots), 1, {1: 0}   # level[p^k] = k
+        while not n % (q * p):
+            q *= p
+            level[q] = len(level)
+        d, rows = len(pivots), []
+        for i in range(d):   # row i of n B^-1, by back substitution
+            y = [0] * d
+            y[i] = n // pivots[i]
+            for j in range(i + 1, d):
+                y[j] = -sum(map(operator.mul, y[i:j], basis[j][i:j])) // pivots[j]
+            c = tuple([x % q for x in y])
+            unit = next((x for x in c if x % p), None)
+            if unit is not None:   # G_p is cyclic
+                u = pow(unit, -1, q)
+                homs = [(level[q], tuple([x * u % q for x in c]))]
+                break
+            rows.append(c)
+        else:
+            span = {(0,) * d}
+            for c in rows:
+                step, more = c, []
+                while step not in span:
+                    more.append(step)
+                    step = tuple([(x + y) % q for x, y in zip(step, c)])
+                span |= {tuple([(x + y) % q for x, y in zip(h, m)]) for h in span for m in more}
+            homs, lifted = [], {tuple([p * x % q for x in c]) for c in span}
+            for c in sorted(span):
+                g = math.gcd(q, *c)
+                if c not in lifted and next(x for x in c if x % (g * p)) == g:
+                    homs.append((level[q // g], tuple([x // g for x in c])))
+            homs.sort(key=lambda hom: -hom[0])
+        self.p, self.pivots, self.homs = p, pivots, tuple(homs)
+        self.tables = [None] * len(homs)
+
+    def table(self, i):
+        table = self.tables[i]
+        if table is None:
+            k, c = self.homs[i]
+            m, table = self.p ** k, [0]
+            for x, pivot in zip(c, self.pivots):
+                table = [(y + x * t) % m for t in range(pivot) for y in table]
+            table = self.tables[i] = tuple(table)
+        return table
+
+    def __len__(self):
+        return math.prod(self.pivots) * len(self.homs) + 1
+
+
 def _negated_row(row, p0):
     """The head row of -y from that of y: entry B of row y, h, makes entry
     h // p_0 of row -y B * p_0 + (-h mod p_0)."""
@@ -484,7 +565,7 @@ def _negated_row(row, p0):
     return tuple(out)
 
 
-_quotients = _Cache(QUOTIENT_BUDGET)   # quotients by basis; tables, rows by (basis, shift or None)
+_quotients = _Cache(QUOTIENT_BUDGET)   # quotients by basis; tables, rows, homs by (basis, shift, None or p)
 
 
 def _divisors(n):

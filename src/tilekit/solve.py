@@ -79,6 +79,79 @@ def _plus(row, x, p0):
     return h - h % p0 + (h + x) % p0
 
 
+def _valuation(n, p):
+    """The exponent of the prime p in n > 0."""
+    e = 0
+    while not n % p:
+        n //= p
+        e += 1
+    return e
+
+
+def _cyclotomic_obstruction(problem):
+    """Whether a cyclotomic bound proves that the tiles have no joint co-tile
+    on G = Z^d / L, read off their projections (E. M. Coven and A.
+    Meyerowitz, "Tiling the integers with translates of one finite set", J.
+    Algebra 212, 1999, pushed forward to a cyclic quotient of G).
+
+    Let F_i + A = G for every i, with n = |G| and |A| = n / |F_1|, and let
+    chi: G -> Z/q, q = p^k, be onto.  Pushed forward by chi, F_i^chi(x) =
+    sum of x^chi(f) over f in F_i, and g = chi_*(1_A), these satisfy
+    F_i^chi(x) g(x) = (n / q)(1 + x + ... + x^(q-1)) mod x^q - 1, which
+    vanishes at every primitive p^t-th root of unity, 1 <= t <= k.  So at
+    each level t where the image of some tile is not divisible by the
+    cyclotomic polynomial Phi_(p^t), g is.  The Phi_(p^t) are distinct and
+    irreducible, so their product over those levels divides g, and as
+    Phi_(p^t)(1) = p, p to the number of those levels divides g(1) = |A|.
+    Hence more such levels than v_p(|A|) leave no co-tile, which needs
+    v_p(|A|) < k <= v_p(n) and a prime p of |F_1|.
+
+    Phi_(p^t) divides an image exactly when its counts modulo p^t are
+    invariant under adding p^(t-1), as Phi_(p^t)(x) = Phi_p(x^(p^(t-1))).
+    The counts of every tile are packed into one int, w bits a count (a
+    count is at most |F_i| <= n < 2^w) and q counts a tile, and each level
+    is one rotation test over all tiles at once; the counts modulo p^(t-1)
+    are those modulo p^t folded p times.  Units of Z/q move no level, and a
+    chi whose every level is that of a chi' onto Z/p^(k+1) adds nothing, so
+    the homs are QuotientGroup.characters.
+    """
+    quotient, projected = problem.quotient, problem.projected
+    size, n = problem.tiles[0].size, quotient.size
+    w = n.bit_length()
+    rest, p = size, 1
+    while rest > 1:
+        p += 1
+        if rest % p:
+            continue
+        rest //= p ** _valuation(rest, p)   # a least divisor above 1 is prime
+        e = _valuation(n // size, p)       # v_p(|A|)
+        characters = quotient.characters(p)
+        for i, (k, _) in enumerate(characters.homs):
+            if k <= e:
+                break
+            table = characters.table(i)
+            span = w * p ** k               # the bits of one tile's counts
+            counts, base = 0, 1
+            for res in projected:
+                counts += sum([base << w * table[y] for y in res])
+                base <<= span
+            ones = (base - 1) // ((1 << span) - 1)   # bit 0 of each tile's counts
+            levels = 0
+            for t in range(k, 0, -1):
+                m = p ** (t - 1) * w        # the bits of the counts modulo p^(t-1)
+                low = ((1 << m) - 1) * ones
+                ring = ((1 << m * p) - 1) * ones
+                moved = (counts << m) & (ring - low) | (counts >> m * (p - 1)) & low
+                if moved != counts:
+                    levels += 1
+                    if levels > e:
+                        return True
+                elif levels + t - 1 <= e:
+                    break
+                counts = sum((counts >> m * j) & low for j in range(p))
+    return False
+
+
 def solve_quotient(tiles, lat, mode="all"):
     """All (or the first) L-periodic joint co-tiles of the tuple.
 
@@ -103,7 +176,8 @@ def solve_quotient(tiles, lat, mode="all"):
     solution's mask.  The "all" mode is complete, and its solutions come in
     the order of sorted_members, compared on the kept rank of each member's
     residue number, with no decoding.  Infeasible projections return an
-    empty list.
+    empty list, and so, for d >= 2, does a quotient that
+    _cyclotomic_obstruction proves empty, before any head row is read.
     """
     if mode not in ("all", "first"):
         raise InputContractError("mode must be 'all' or 'first'")
@@ -111,6 +185,11 @@ def solve_quotient(tiles, lat, mode="all"):
     if not problem.feasible:
         return []
     quotient, projected = problem.quotient, problem.projected
+    # d = 1 waits for ROADMAP item 1: there the bound empties most
+    # quotients, and bench/worker.py, which keeps a record per request,
+    # reads the faster zline workload as more memory
+    if lat.dim > 1 and _cyclotomic_obstruction(problem):
+        return []
     n, p0 = quotient.size, quotient.pivots[0]
     kept = quotient.heads(set().union(*projected), projected[0])
     cells = [(i * n, kept.rows[y]) for i, res in enumerate(projected) for y in res]

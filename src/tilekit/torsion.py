@@ -165,16 +165,21 @@ class MixedPeriodicSet:
 
     def stabilizer_generator(self):
         """Smallest (n, t) with n >= 1, then 0 <= t < p, fixing the set under
-        translation.
+        translation."""
+        return _least_generator(self.lifted())
 
-        With coordinates swapped to (t, n), the canonical basis of the Z^2
-        stabilizer is (a, 0), (b, c) with 0 <= b < a: c is the least positive
-        n reached and b the least t >= 0 that goes with it.  (0, p) lies in the
-        stabilizer, so a <= p and b < p.
-        """
-        stab = stabilizer(self.lifted())
-        _, (b, c) = hnf(2, [(t, n) for n, t in stab.basis]).basis
-        return (c, b)
+
+def _least_generator(lifted):
+    """MixedPeriodicSet.stabilizer_generator, from the lift.
+
+    With coordinates swapped to (t, n), the canonical basis of the Z^2
+    stabilizer is (a, 0), (b, c) with 0 <= b < a: c is the least positive n
+    reached and b the least t >= 0 that goes with it.  (0, p) lies in the
+    stabilizer, so a <= p and b < p.
+    """
+    stab = stabilizer(lifted)
+    _, (b, c) = hnf(2, [(t, n) for n, t in stab.basis]).basis
+    return (c, b)
 
 
 @dataclass(frozen=True)
@@ -200,9 +205,10 @@ def cotile_conclusion(tile, aset):
     """
     if tile.p != aset.p:
         raise InputContractError("mismatched moduli")
-    if not _verify.is_tiling(tile.lifted(), aset.lifted()).ok:
+    lifted = aset.lifted()
+    if not _verify.is_tiling(tile.lifted(), lifted).ok:
         raise NotACotileError("1_F * 1_A is not identically 1 on the mixed group")
-    gen = aset.stabilizer_generator()
+    gen = _least_generator(lifted)
     cls = classify(tile)
     if cls.is_full_fiber:
         base_cotile = aset.projection()
@@ -218,7 +224,7 @@ def cotile_conclusion(tile, aset):
     # WeightedTile is integer-valued: scale the inverse to integers and
     # compare with the indicator scaled alike
     lcm = math.lcm(*(v.denominator for v in inverse.values))
-    ind = indicator(aset.lifted())
+    ind = indicator(lifted)
     conv = convolve(WeightedTile.make(2, {(0, t): 1 for t in f0}), ind)
     back = WeightedTile.make(2, {(0, t): int(v * lcm) for t, v in enumerate(inverse.values)})
     if convolve(back, conv) != ind.scale(lcm):

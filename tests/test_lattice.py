@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from tilekit.lattice import (
     Lattice,
     PeriodicSet,
     QuotientGroup,
+    _Characters,
     _bits,
     _quotients,
     _sublattices,
@@ -391,6 +393,55 @@ def test_numbers_and_heads_match_reduce(lat, vectors):
     assert q.heads(numbers) is kept and all(kept.rows[y] is rows[y] for y in numbers)
 
 
+def _unit_class(c, p, q):
+    """c scaled so that its first entry prime to p is 1."""
+    u = pow(next(x for x in c if x % p), -1, q)
+    return tuple(x * u % q for x in c)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hnf_lattices(24), st.sampled_from((2, 3, 5)))
+def test_characters_are_the_onto_homs_that_lift_no_further(lat, p):
+    # Every row c in (Z/p^k)^d, by itertools.product, that vanishes on the
+    # basis columns and has an entry prime to p, taken up to units; a class
+    # is kept when it is not the reduction of an onto class one level up.
+    # Each table holds c.r mod p^k at the place of r in residue_order.
+    quotient, d = lat.quotient(), lat.dim
+    onto, k = [], 1
+    while lat.index() % p ** k == 0:
+        q = p ** k
+        onto.append({_unit_class(c, p, q) for c in itertools.product(range(q), repeat=d)
+                     if any(x % p for x in c)
+                     and not any(sum(map(operator.mul, c, col)) % q for col in lat.basis)})
+        k += 1
+    expected = {(k, c) for k in range(len(onto), 0, -1) for c in onto[k - 1]
+                if k == len(onto) or c not in {tuple(x % p ** k for x in up) for up in onto[k]}}
+    kept = quotient.characters(p)
+    assert [k for k, _ in kept.homs] == sorted((k for k, _ in expected), reverse=True)
+    assert set(kept.homs) == expected and len(kept.homs) == len(expected)
+    residues = residue_order(lat)
+    for i, (k, c) in enumerate(kept.homs):
+        table = kept.table(i)
+        assert table == tuple(sum(map(operator.mul, c, r)) % p ** k for r in residues)
+        assert kept.tables[i] is table and kept.table(i) is table
+    assert quotient.characters(p) is kept
+
+
+def test_characters_of_z4_x_z2():
+    # Onto Z/4: x_0 + 2 x_1 and x_0 (x_1 has order 2); onto Z/2: x_1 and
+    # x_0 + x_1, while x_0 mod 2 is x_0 mod 4 reduced and is not kept.
+    lat = Lattice.diagonal([4, 2])
+    kept = _Characters(lat.pivots, lat.basis, 2)
+    assert kept.homs == ((2, (1, 0)), (2, (1, 2)), (1, (0, 1)), (1, (1, 1)))
+    # a table is made the first time it is asked for, and kept
+    assert kept.tables == [None] * 4
+    assert [kept.table(i) for i in range(4)] == [
+        (0, 1, 2, 3, 0, 1, 2, 3), (0, 1, 2, 3, 2, 3, 0, 1),
+        (0, 0, 0, 0, 1, 1, 1, 1), (0, 1, 0, 1, 1, 0, 1, 0)]
+    assert all(kept.table(i) is table for i, table in enumerate(kept.tables))
+    assert lat.quotient().characters(2).homs == kept.homs
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(hnf_lattices(24), st.data())
 def test_rank_sort_orders_sets_as_sorted_members(lat, data):
@@ -736,11 +787,11 @@ def test_a_second_sweep_builds_no_quotient(monkeypatch):
 
 
 def test_quotient_budget_holds_across_a_sweep_and_a_torus(monkeypatch):
-    # The index-24 sweep of the box pair holds ~469,000 residue numbers in
-    # its quotients, tables and head rows, more than this lowered budget, so
-    # it drops some of its own; its answer does not change and the budget
-    # holds, also after the domino co-tile on 40Z x 40Z keeps its
-    # translation tables.  Both caches count exactly what they hold.
+    # The index-24 sweep of the box pair holds ~275,000 residue numbers in
+    # its quotients, tables, head rows and homs, more than this lowered
+    # budget, so it drops some of its own; its answer does not change and
+    # the budget holds, also after the domino co-tile on 40Z x 40Z keeps
+    # its translation tables.  Both caches count exactly what they hold.
     budget = 50_000
     monkeypatch.setattr(_quotients, "limit", budget)
     found = search_periodic_cotile(box_pair(), 24)
@@ -772,6 +823,16 @@ def test_quotient_budget_holds_across_a_sweep_and_a_torus(monkeypatch):
                 inverted += 1
     assert inverted
     assert _quotients.held == _held(_quotients) <= budget
+    # the kept homs of the cyclotomic bound count as the n entries of the
+    # table of each hom, made or not, plus one for the record
+    homs = [(key[0], value) for key, value in _quotients.values.items()
+            if len(key) == 2 and type(key[1]) is int]
+    assert homs and any(value.homs for _, value in homs)
+    assert any(value.tables.count(None) < len(value.tables) for _, value in homs)
+    for basis, value in homs:
+        n = Lattice(3, basis).index()
+        assert len(value) == n * len(value.homs) + 1
+        assert all(table is None or len(table) == n for table in value.tables)
     torus = Lattice.diagonal([40, 40])
     domino = Tile.make(2, [(0, 0), (1, 0)])
     aset = PeriodicSet.make(torus, [(x, y) for x in range(0, 40, 2) for y in range(40)])

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -5,7 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tilekit.analysis import is_independent_tuple
 from tilekit.errors import InputContractError, NotACotileError, NotAPartitionError, TilekitError
@@ -21,6 +22,7 @@ from tilekit.lattice import (
 )
 from tilekit.solve import (
     _cycle_letters,
+    _cyclotomic_obstruction,
     _differences,
     _on_stabilizer,
     _Recoder,
@@ -313,6 +315,131 @@ def test_sweep_builds_and_solves_only_feasible_lattices(monkeypatch):
     search_periodic_cotile(TileTuple.make([domino, tromino]), 12)
     assert problems
     assert all(p.feasible and p.lattice.index() in (6, 12) for p in problems)
+
+
+@st.composite
+def _bound_instances(draw):
+    """One or two tiles of one size among 2, 4 and 6, in Z^2 or Z^3, on a
+    canonical lattice of index at most 16; the size divides the index when
+    one of them can."""
+    d = draw(st.sampled_from((2, 3)))
+    lat = draw(hnf_lattices(16, dim=d))
+    size = draw(st.sampled_from([s for s in (2, 4, 6) if lat.index() % s == 0] or [2]))
+    point = st.tuples(*[st.integers(-3, 3)] * d).filter(any)
+    tiles = [Tile.make(d, [(0,) * d] + draw(st.lists(point, min_size=size - 1,
+                                                     max_size=size - 1, unique=True)))
+             for _ in range(draw(st.integers(1, 2)))]
+    return TileTuple.make(tiles), lat
+
+
+def test_cyclotomic_bound_fires_only_where_subset_enumeration_finds_no_cotile():
+    # Wherever the bound proves a feasible quotient empty, brute_force_quotient,
+    # which shares no code with it, finds no co-tile.  The feasible draws are
+    # counted by (fired, has a co-tile, number of tiles) and the counts are
+    # pinned, so the check is never vacuous: the bound fires on single tiles
+    # and on pairs, and co-tiles occur for both.
+    seen = collections.Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_bound_instances())
+    def check(instance):
+        tiles, lat = instance
+        problem = SearchProblem.build(tiles, lat)
+        if problem.feasible:
+            empty = _cyclotomic_obstruction(problem)
+            found = brute_force_quotient(tiles, lat)
+            assert not (empty and found)
+            seen[empty, bool(found), len(tiles.tiles)] += 1
+
+    check()
+    assert seen == {(True, False, 1): 30, (True, False, 2): 42, (False, False, 1): 1,
+                    (False, True, 1): 62, (False, True, 2): 44}
+
+
+def _plain_cyclotomic_bound(tiles, lat):
+    """The bound counted plainly: every row c in (Z/p^k)^d, by
+    itertools.product, that vanishes on the basis columns and has an entry
+    prime to p is a hom chi onto Z/p^k, chi(f) = c.f mod p^k on the tile
+    points, and Phi_(p^t) divides an image when the sorted image modulo p^t
+    is unchanged by adding p^(t-1).  Shares no code with characters or the
+    packed counts."""
+    n, size, d = lat.index(), tiles[0].size, lat.dim
+
+    def valuation(m, p):
+        return next(v for v in itertools.count() if m % p ** (v + 1))
+
+    for p in (p for p in range(2, size + 1) if size % p == 0
+              and all(p % r for r in range(2, p))):
+        e = valuation(n // size, p)
+        for k in range(e + 1, valuation(n, p) + 1):
+            q = p ** k
+            for c in itertools.product(range(q), repeat=d):
+                if not any(x % p for x in c) or any(
+                        sum(a * b for a, b in zip(c, col)) % q for col in lat.basis):
+                    continue
+                images = [[sum(a * b for a, b in zip(c, f)) % q for f in t.sorted_points]
+                          for t in tiles]
+                levels = sum(1 for t in range(1, k + 1) if any(
+                    sorted(v % p ** t for v in image)
+                    != sorted((v + p ** (t - 1)) % p ** t for v in image) for image in images))
+                if levels > e:
+                    return True
+    return False
+
+
+# {0, 1, 4, 5} and {0, 3, 4, 7} on Z/8 share the co-tile {0, 2}: both images
+# are divisible by Phi_8, with different counts in their upper halves, and
+# only Phi_4 fails, once; the packed counts of the two must not mix.
+_SHARED_COTILE = (TileTuple.make([Tile.make(2, [(x, 0) for x in xs])
+                                  for xs in ((0, 1, 4, 5), (0, 3, 4, 7))]),
+                  Lattice.diagonal([8, 1]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_bound_instances())
+@example(_SHARED_COTILE)
+def test_cyclotomic_bound_matches_a_plain_count(instance):
+    tiles, lat = instance
+    problem = SearchProblem.build(tiles, lat)
+    if problem.feasible:
+        assert _cyclotomic_obstruction(problem) == _plain_cyclotomic_bound(tiles, lat)
+    if instance is _SHARED_COTILE:
+        found = solve_quotient(tiles, lat)
+        assert PeriodicSet.make(lat, [(0, 0), (2, 0)]) in found
+        assert found == brute_force_quotient(tiles, lat)
+
+
+def test_cyclotomic_bound_on_the_box_pair():
+    # Of the box pair's feasible lattices, the bound empties 282 of 346 to
+    # index 12 (45 at index 8, 237 at 12) and 2583 of 3217 to index 24;
+    # 63 and 534 of them have co-tiles.
+    feasible, fired = {}, {}
+    for n in range(4, 25, 4):
+        for lat in enumerate_sublattices(3, n):
+            problem = SearchProblem.build(box_pair(), lat)
+            if problem.feasible:
+                feasible[n] = feasible.get(n, 0) + 1
+                fired[n] = fired.get(n, 0) + _cyclotomic_obstruction(problem)
+    assert fired == {4: 0, 8: 45, 12: 237, 16: 323, 20: 715, 24: 1263}
+    assert sum(feasible[n] for n in (4, 8, 12)) == 346
+    assert sum(feasible.values()) == 3217 and sum(fired.values()) == 2583
+
+
+def test_solve_quotient_consults_the_bound_in_dimension_two_and_up(monkeypatch):
+    # In dimension 1 the bound is left out; elsewhere solve_quotient asks it
+    # once per feasible quotient, after the build, and an empty answer follows.
+    asked = []
+
+    def bound(problem):
+        asked.append(problem.lattice)
+        return True
+
+    monkeypatch.setattr(solve_module, "_cyclotomic_obstruction", bound)
+    assert solve_quotient(TileTuple.make([Tile.make(1, [(0,), (1,)])]), Lattice.diagonal([4]))
+    assert asked == []
+    assert solve_quotient(box_pair(), Lattice.diagonal([2, 2, 1])) == []
+    assert solve_quotient(box_pair(), Lattice.diagonal([3, 1, 1])) == []
+    assert asked == [Lattice.diagonal([2, 2, 1])]
 
 
 @st.composite

@@ -230,6 +230,27 @@ def test_full_fiber_verdict_reports_the_least_generator():
     assert verdict.stabilizer_generator == (1, 0)
 
 
+@pytest.mark.parametrize("tile, aset", [
+    (MixedTile.make(3, [(0, 0), (0, 1), (1, 2)]), MixedPeriodicSet.make(3, 1, [(0, 0)])),
+    (MixedTile.make(3, [(n, t) for n in (0, 1) for t in range(3)]),
+     MixedPeriodicSet.make(3, 4, [(0, 1), (2, 2)])),
+])
+def test_cotile_conclusion_lifts_the_cotile_once(monkeypatch, tile, aset):
+    # the check, the stabilizer generator and the ring-inverse round trip
+    # share one lift of the co-tile, in the generic and full-fiber verdicts
+    lifts = []
+    lifted = MixedPeriodicSet.lifted
+
+    def counted(self):
+        lifts.append(self)
+        return lifted(self)
+
+    monkeypatch.setattr(MixedPeriodicSet, "lifted", counted)
+    verdict = cotile_conclusion(tile, aset)
+    assert lifts == [aset]
+    assert verdict.stabilizer_generator == aset.stabilizer_generator()
+
+
 def test_generic_verified_cotiles_have_positive_rank():
     # small sweep: every verified pair reports a Z-direction stabilizer element
     cases = [
