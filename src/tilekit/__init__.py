@@ -43,11 +43,9 @@ from .analysis import (
 )
 from .verify import JointReport, TilingReport, is_joint_cotile, is_level_tiling, is_tiling, mean
 from .solve import (
-    AllDPeriodic,
     SearchProblem,
     ZTilingResult,
     brute_force_quotient,
-    common_stabilizer,
     independent_cotile_index_bound,
     lift_to_full_period,
     piecewise_to_periodic,
@@ -58,12 +56,9 @@ from .solve import (
 from .decompose import (
     DecompositionReport,
     DecompositionTree,
-    bounded_poly_is_constant_check,
     build_decomposition,
     compute_q,
     dilation_check,
-    discrete_derivative,
-    is_polynomial_map,
     primorial,
     psi_by_span,
     verify_decomposition,

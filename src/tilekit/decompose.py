@@ -16,8 +16,8 @@ is built from its parent by one such average,
 with m the order of q*v.  The tree's four defining identities are then
 re-checked value by value, never assumed.
 
-Also here: the dilation identity checker, span-grouped sums of depth-(d-1)
-nodes, and polynomial-map testing via iterated discrete derivatives.
+Also here: the dilation identity checker and span-grouped sums of
+depth-(d-1) nodes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import (
     NotACotileError,
     PreconditionUnverifiedError,
     PropertyStarRequiredError,
-    RankDeficientError,
 )
 from .lattice import _integer_kernel, hnf, vscale
 from .tiles import PeriodicRationalFunction, WeightedTile, convolve, dilate
@@ -303,66 +302,3 @@ def _lattice_in_subspace(space):
     vectors orthogonal to the integer kernel of its Hermite rows."""
     d = space.dim_ambient
     return hnf(d, _integer_kernel(_integer_kernel(space.rows, d), d))
-
-
-def discrete_derivative(fn, v):
-    """(D_v f)(w) = f(w) - f(w - v)."""
-    weights = {(0,) * fn.dim: 1}
-    weights[tuple(v)] = weights.get(tuple(v), 0) - 1
-    return convolve(WeightedTile.make(fn.dim, weights), fn)
-
-
-def is_polynomial_map(fn, gamma, degree):
-    """Whether all (degree+1)-fold derivative products along gamma's basis
-    generators annihilate f.
-
-    Generators suffice: derivatives commute, and a derivative along a sum
-    expands into shifted derivatives along the summands, so monomials in the
-    generators of total order degree+1 span all the required products.
-    """
-    if not gamma.is_full_rank:
-        raise RankDeficientError("polynomial testing needs a full-rank subgroup")
-    if degree < 0:
-        return fn == 0
-    for combo in itertools.combinations_with_replacement(gamma.basis, degree + 1):
-        g = fn
-        for v in combo:
-            g = discrete_derivative(g, v)
-        if not g.is_constant(0):
-            return False
-    return True
-
-
-def polynomial_degree(fn, gamma, max_degree):
-    """Smallest degree at which f is polynomial along gamma, or None."""
-    for r in range(max_degree + 1):
-        if is_polynomial_map(fn, gamma, r):
-            return r
-    return None
-
-
-@dataclass(frozen=True)
-class PolynomialCheck:
-    is_polynomial: bool
-    degree: int | None
-    constant_on_cosets: bool | None
-
-
-def bounded_poly_is_constant_check(fn, gamma, max_degree=None):
-    """Instance check that a bounded polynomial map along a finite-index
-    subgroup is constant on its cosets.
-
-    Periodic functions are bounded, so whenever f turns out polynomial along
-    gamma the conclusion gamma <= stab(f) is asserted.
-    """
-    if not gamma.is_full_rank:
-        raise RankDeficientError("the statement concerns finite-index subgroups")
-    if max_degree is None:
-        max_degree = 2 * fn.lattice.index()
-    deg = polynomial_degree(fn, gamma, max_degree)
-    if deg is None:
-        return PolynomialCheck(False, None, None)
-    constant = fn.stabilizer().contains_lattice(gamma)
-    if not constant:
-        raise InternalError("bounded polynomial map not constant on cosets")
-    return PolynomialCheck(True, deg, True)

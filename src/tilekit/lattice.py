@@ -304,16 +304,15 @@ class QuotientGroup:
 
     Residue number a has digits a_i in [0, pivot_i) with the first coordinate
     varying fastest: a = a_0 + p_0 * (a_1 + p_1 * (a_2 + ...)).  This class,
-    with the rank of its kept head rows and the tables of its kept homs, is
-    the only code that knows that order, which a function's numerators and
-    the bits of a PeriodicSet's mask follow: numbers is its one encoder and
-    decode its one decoder, and neither builds the residues tuple.  size is
-    the index n.  The instance holds no table, row or hom: translation,
-    heads and characters keep them in the cache of Lattice.quotient(),
-    under (basis, shift), (basis, None) and (basis, p), where callers read
-    them in place, so they outlive an evicted quotient and count against
-    QUOTIENT_BUDGET.  Nothing here refers back to the instance, so it forms
-    no reference cycle.
+    with the rank of its kept head rows, is the only code that knows that
+    order, which a function's numerators and the bits of a PeriodicSet's
+    mask follow: numbers is its one encoder and decode its one decoder, and
+    neither builds the residues tuple.  size is the index n.  The instance
+    holds no table, row or hom: translation, heads and characters keep them
+    in the cache of Lattice.quotient(), under (basis, shift), (basis, None)
+    and (basis, p), where callers read them in place, so they outlive an
+    evicted quotient and count against QUOTIENT_BUDGET.  Nothing here refers
+    back to the instance, so it forms no reference cycle.
     """
 
     def __init__(self, lattice):
@@ -486,10 +485,8 @@ class _HeadRows:
 
 class _Characters:
     """The kept homomorphisms of QuotientGroup.characters: homs[i] = (k, c),
-    chi(x) = c.x mod p^k, by k descending; table(i) lists chi by residue
-    number, summed from the digits a = a_0 + p_0 * (a_1 + ...), and is made
-    the first time it is asked for.  Counted at the most it can hold, n
-    entries a hom, plus one for the record.
+    chi(x) = c.x mod p^k, by k descending.  Counted as what it holds, one
+    entry a hom, plus one for the record.
 
     A hom to Z/q, q = p^K with K = v_p(n), is x -> c.x mod q for a row c
     with c B = 0 (mod q), B the basis matrix, and the rows of n B^-1 (its
@@ -505,7 +502,7 @@ class _Characters:
     valuation is p^v stands for its class under units.
     """
 
-    __slots__ = ("p", "pivots", "homs", "tables")
+    __slots__ = ("homs",)
 
     def __init__(self, pivots, basis, p):
         n, q, level = math.prod(pivots), 1, {1: 0}   # level[p^k] = k
@@ -539,21 +536,10 @@ class _Characters:
                 if c not in lifted and next(x for x in c if x % (g * p)) == g:
                     homs.append((level[q // g], tuple([x // g for x in c])))
             homs.sort(key=lambda hom: -hom[0])
-        self.p, self.pivots, self.homs = p, pivots, tuple(homs)
-        self.tables = [None] * len(homs)
-
-    def table(self, i):
-        table = self.tables[i]
-        if table is None:
-            k, c = self.homs[i]
-            m, table = self.p ** k, [0]
-            for x, pivot in zip(c, self.pivots):
-                table = [(y + x * t) % m for t in range(pivot) for y in table]
-            table = self.tables[i] = tuple(table)
-        return table
+        self.homs = tuple(homs)
 
     def __len__(self):
-        return math.prod(self.pivots) * len(self.homs) + 1
+        return len(self.homs) + 1
 
 
 def _negated_row(row, p0):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -45,32 +46,49 @@ from .decompose import primorial
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """A tile tuple projected into a finite quotient Z^d / L, kept for
-    solve_quotient: per tile, the numbers of its sorted points' residues."""
+    """A tile tuple on a finite quotient Z^d / L, kept for solve_quotient.
+    The projection, per tile the residue numbers of its sorted points, is
+    made the first time it is read, and injectivity is read off it, so a
+    quotient that divisibility or the cyclotomic bound rules out costs no
+    projection."""
 
     tiles: TileTuple
     lattice: Lattice
-    projected: tuple  # per tile, tuple of residue numbers of the tile's points
-    injective: tuple  # per tile, whether the projection is one-to-one
     size_divides: bool
     quotient: QuotientGroup = field(compare=False)
 
     @staticmethod
     def build(tiles, lat):
-        """Project on lat.quotient(), which raises RankDeficientError below
-        full rank.  solve_quotient, the keep test and later sweeps share that
+        """On lat.quotient(), which raises RankDeficientError below full
+        rank.  solve_quotient, the keep test and later sweeps share that
         quotient, and its tables and head rows, through the quotient cache."""
         if tiles.dim != lat.dim:
             raise InputContractError("tiles and lattice have different dimensions")
         quotient = lat.quotient()
-        projected = tuple(quotient.numbers(tile.sorted_points) for tile in tiles)
-        injective = tuple(len(set(res)) == len(res) for res in projected)
         divides = all(quotient.size % t.size == 0 for t in tiles)
-        return SearchProblem(tiles, lat, projected, injective, divides, quotient)
+        return SearchProblem(tiles, lat, divides, quotient)
+
+    @property
+    def projected(self):
+        """Per tile, the tuple of residue numbers of the tile's points, kept
+        at the first read.  Kept by hand: functools.cached_property takes a
+        lock at every first read in Python 3.11, which shows on the
+        one-dimensional sweep, where every quotient is projected."""
+        kept = self.__dict__
+        projected = kept.get("_projected")
+        if projected is None:
+            projected = kept["_projected"] = tuple(
+                self.quotient.numbers(tile.sorted_points) for tile in self.tiles)
+        return projected
+
+    @property
+    def injective(self):
+        """Per tile, whether the projection is one-to-one."""
+        return tuple(len(set(res)) == len(res) for res in self.projected)
 
     @property
     def feasible(self):
-        return all(self.injective) and self.size_divides
+        return self.size_divides and all(self.injective)
 
 
 def _plus(row, x, p0):
@@ -88,11 +106,14 @@ def _valuation(n, p):
     return e
 
 
+_level_memo = (None, {})   # (the tuple last asked, its level counts by (p, k, c))
+
+
 def _cyclotomic_obstruction(problem):
     """Whether a cyclotomic bound proves that the tiles have no joint co-tile
-    on G = Z^d / L, read off their projections (E. M. Coven and A.
-    Meyerowitz, "Tiling the integers with translates of one finite set", J.
-    Algebra 212, 1999, pushed forward to a cyclic quotient of G).
+    on G = Z^d / L, read off the tile points (E. M. Coven and A. Meyerowitz,
+    "Tiling the integers with translates of one finite set", J. Algebra 212,
+    1999, pushed forward to a cyclic quotient of G).
 
     Let F_i + A = G for every i, with n = |G| and |A| = n / |F_1|, and let
     chi: G -> Z/q, q = p^k, be onto.  Pushed forward by chi, F_i^chi(x) =
@@ -104,20 +125,25 @@ def _cyclotomic_obstruction(problem):
     irreducible, so their product over those levels divides g, and as
     Phi_(p^t)(1) = p, p to the number of those levels divides g(1) = |A|.
     Hence more such levels than v_p(|A|) leave no co-tile, which needs
-    v_p(|A|) < k <= v_p(n) and a prime p of |F_1|.
+    v_p(|A|) < k <= v_p(n) and a prime p of |F_1|.  A tile that does not
+    project one-to-one has no co-tile either, so the bound holds whether
+    or not the projection is injective, and can be asked before it.
 
-    Phi_(p^t) divides an image exactly when its counts modulo p^t are
-    invariant under adding p^(t-1), as Phi_(p^t)(x) = Phi_p(x^(p^(t-1))).
-    The counts of every tile are packed into one int, w bits a count (a
-    count is at most |F_i| <= n < 2^w) and q counts a tile, and each level
-    is one rotation test over all tiles at once; the counts modulo p^(t-1)
-    are those modulo p^t folded p times.  Units of Z/q move no level, and a
-    chi whose every level is that of a chi' onto Z/p^(k+1) adds nothing, so
-    the homs are QuotientGroup.characters.
+    Units of Z/q move no level, and a chi whose every level is that of a
+    chi' onto Z/p^(k+1) adds nothing, so the homs are
+    QuotientGroup.characters, each a row c with chi(f) = c.f mod p^k.  The
+    number of levels depends on the tiles and on (p, k, c) only, not on the
+    lattice, and lattices share rows: _levels counts them once a row, in a
+    memo kept for the tuple asked last, compared by identity, so a sweep
+    reuses it and another tuple starts a fresh one.
     """
-    quotient, projected = problem.quotient, problem.projected
-    size, n = problem.tiles[0].size, quotient.size
-    w = n.bit_length()
+    global _level_memo
+    tiles, quotient = problem.tiles, problem.quotient
+    held, memo = _level_memo   # read once: a call on another tuple never sees this memo
+    if held is not tiles:
+        memo = {}
+        _level_memo = tiles, memo
+    size, n = tiles[0].size, quotient.size
     rest, p = size, 1
     while rest > 1:
         p += 1
@@ -125,31 +151,33 @@ def _cyclotomic_obstruction(problem):
             continue
         rest //= p ** _valuation(rest, p)   # a least divisor above 1 is prime
         e = _valuation(n // size, p)       # v_p(|A|)
-        characters = quotient.characters(p)
-        for i, (k, _) in enumerate(characters.homs):
+        for k, c in quotient.characters(p).homs:
             if k <= e:
                 break
-            table = characters.table(i)
-            span = w * p ** k               # the bits of one tile's counts
-            counts, base = 0, 1
-            for res in projected:
-                counts += sum([base << w * table[y] for y in res])
-                base <<= span
-            ones = (base - 1) // ((1 << span) - 1)   # bit 0 of each tile's counts
-            levels = 0
-            for t in range(k, 0, -1):
-                m = p ** (t - 1) * w        # the bits of the counts modulo p^(t-1)
-                low = ((1 << m) - 1) * ones
-                ring = ((1 << m * p) - 1) * ones
-                moved = (counts << m) & (ring - low) | (counts >> m * (p - 1)) & low
-                if moved != counts:
-                    levels += 1
-                    if levels > e:
-                        return True
-                elif levels + t - 1 <= e:
-                    break
-                counts = sum((counts >> m * j) & low for j in range(p))
+            key = p, k, c
+            levels = memo.get(key)
+            if levels is None:
+                levels = memo[key] = _levels(tiles, p, k, c)
+            if levels > e:
+                return True
     return False
+
+
+def _levels(tiles, p, k, c):
+    """The number of levels t, 1 <= t <= k, at which the image of some tile
+    under f -> c.f mod p^k is not divisible by Phi_(p^t): its counts modulo
+    p^t change when p^(t-1) is added, as Phi_(p^t)(x) = Phi_p(x^(p^(t-1))).
+    The images modulo p^(t-1) are those modulo p^t folded."""
+    q = p ** k
+    images = [[sum(map(operator.mul, c, f)) % q for f in tile.sorted_points] for tile in tiles]
+    levels = 0
+    for _ in range(k):
+        m = q // p
+        if any(sorted(image) != sorted([(y + m) % q for y in image]) for image in images):
+            levels += 1
+        q = m
+        images = [[y % q for y in image] for image in images]
+    return levels
 
 
 def solve_quotient(tiles, lat, mode="all"):
@@ -157,8 +185,8 @@ def solve_quotient(tiles, lat, mode="all"):
 
     An exact cover of Z^d / L over big-int masks: one int holds the coverage
     of every tile, and a placement is legal when its mask misses the covered
-    bits.  The tiles are projected once, to residue numbers, by
-    SearchProblem.build, and the placements are read in place off the kept
+    bits.  The tiles are projected once, to residue numbers, by the
+    SearchProblem, and the placements are read in place off the kept
     head rows of the quotient (QuotientGroup.heads).  With n the index, bit
     i*n + y of the mask of placement a is set when tile i covers residue
     number y from a.  The mask of a's block head is summed from the rows of
@@ -175,20 +203,24 @@ def solve_quotient(tiles, lat, mode="all"):
     residue number a in the co-tile, so the placements chosen are a
     solution's mask.  The "all" mode is complete, and its solutions come in
     the order of sorted_members, compared on the kept rank of each member's
-    residue number, with no decoding.  Infeasible projections return an
-    empty list, and so, for d >= 2, does a quotient that
-    _cyclotomic_obstruction proves empty, before any head row is read.
+    residue number, with no decoding.  Before any of it, the answer is an
+    empty list when the index is not a multiple of every tile's size, when,
+    for d >= 2, _cyclotomic_obstruction proves the quotient empty, which
+    needs no projection, or when some tile does not project one-to-one, in
+    that order.
     """
     if mode not in ("all", "first"):
         raise InputContractError("mode must be 'all' or 'first'")
     problem = SearchProblem.build(tiles, lat)
-    if not problem.feasible:
+    if not problem.size_divides:
         return []
-    quotient, projected = problem.quotient, problem.projected
     # d = 1 waits for ROADMAP item 1: there the bound empties most
     # quotients, and bench/worker.py, which keeps a record per request,
     # reads the faster zline workload as more memory
     if lat.dim > 1 and _cyclotomic_obstruction(problem):
+        return []
+    quotient, projected = problem.quotient, problem.projected
+    if not all(len(set(res)) == len(res) for res in projected):   # problem.injective
         return []
     n, p0 = quotient.size, quotient.pivots[0]
     kept = quotient.heads(set().union(*projected), projected[0])
@@ -741,32 +773,3 @@ def piecewise_to_periodic(tiles, pieces, declared_stabilizers=None):
     if not out:
         raise InternalError("assembled co-tile fails verification")
     return result
-
-
-class AllDPeriodic:
-    """Verdict: every piece in the partition is fully periodic."""
-
-    def __init__(self, common):
-        self.common = common
-
-    def __repr__(self):
-        return f"ALL_D_PERIODIC(common={self.common!r})"
-
-
-def common_stabilizer(pieces):
-    """The verdict on a partition of Z^d into periodic pieces: always
-    AllDPeriodic.
-
-    A piece presented on a full-rank lattice is stabilized by that lattice,
-    so every stabilizer has full rank; the verdict carries the intersection
-    of the stabilizers, which stabilizes every piece.
-    """
-    if not pieces:
-        raise NotAPartitionError("empty piece list")
-    common, refined, covered = _disjoint_pieces(pieces)
-    if covered != (1 << common.index()) - 1:
-        raise NotAPartitionError("pieces do not cover Z^d")
-    meet = stabilizer(refined[0])
-    for p in refined[1:]:
-        meet = meet.intersect(stabilizer(p))
-    return AllDPeriodic(meet)

@@ -405,7 +405,6 @@ def test_characters_are_the_onto_homs_that_lift_no_further(lat, p):
     # Every row c in (Z/p^k)^d, by itertools.product, that vanishes on the
     # basis columns and has an entry prime to p, taken up to units; a class
     # is kept when it is not the reduction of an onto class one level up.
-    # Each table holds c.r mod p^k at the place of r in residue_order.
     quotient, d = lat.quotient(), lat.dim
     onto, k = [], 1
     while lat.index() % p ** k == 0:
@@ -419,11 +418,6 @@ def test_characters_are_the_onto_homs_that_lift_no_further(lat, p):
     kept = quotient.characters(p)
     assert [k for k, _ in kept.homs] == sorted((k for k, _ in expected), reverse=True)
     assert set(kept.homs) == expected and len(kept.homs) == len(expected)
-    residues = residue_order(lat)
-    for i, (k, c) in enumerate(kept.homs):
-        table = kept.table(i)
-        assert table == tuple(sum(map(operator.mul, c, r)) % p ** k for r in residues)
-        assert kept.tables[i] is table and kept.table(i) is table
     assert quotient.characters(p) is kept
 
 
@@ -433,12 +427,6 @@ def test_characters_of_z4_x_z2():
     lat = Lattice.diagonal([4, 2])
     kept = _Characters(lat.pivots, lat.basis, 2)
     assert kept.homs == ((2, (1, 0)), (2, (1, 2)), (1, (0, 1)), (1, (1, 1)))
-    # a table is made the first time it is asked for, and kept
-    assert kept.tables == [None] * 4
-    assert [kept.table(i) for i in range(4)] == [
-        (0, 1, 2, 3, 0, 1, 2, 3), (0, 1, 2, 3, 2, 3, 0, 1),
-        (0, 0, 0, 0, 1, 1, 1, 1), (0, 1, 0, 1, 1, 0, 1, 0)]
-    assert all(kept.table(i) is table for i, table in enumerate(kept.tables))
     assert lat.quotient().characters(2).homs == kept.homs
 
 
@@ -787,7 +775,7 @@ def test_a_second_sweep_builds_no_quotient(monkeypatch):
 
 
 def test_quotient_budget_holds_across_a_sweep_and_a_torus(monkeypatch):
-    # The index-24 sweep of the box pair holds ~275,000 residue numbers in
+    # The index-24 sweep of the box pair holds ~160,000 residue numbers in
     # its quotients, tables, head rows and homs, more than this lowered
     # budget, so it drops some of its own; its answer does not change and
     # the budget holds, also after the domino co-tile on 40Z x 40Z keeps
@@ -823,16 +811,13 @@ def test_quotient_budget_holds_across_a_sweep_and_a_torus(monkeypatch):
                 inverted += 1
     assert inverted
     assert _quotients.held == _held(_quotients) <= budget
-    # the kept homs of the cyclotomic bound count as the n entries of the
-    # table of each hom, made or not, plus one for the record
-    homs = [(key[0], value) for key, value in _quotients.values.items()
+    # the kept homs of the cyclotomic bound count as one entry a hom, plus
+    # one for the record
+    homs = [value for key, value in _quotients.values.items()
             if len(key) == 2 and type(key[1]) is int]
-    assert homs and any(value.homs for _, value in homs)
-    assert any(value.tables.count(None) < len(value.tables) for _, value in homs)
-    for basis, value in homs:
-        n = Lattice(3, basis).index()
-        assert len(value) == n * len(value.homs) + 1
-        assert all(table is None or len(table) == n for table in value.tables)
+    assert homs and any(value.homs for value in homs)
+    for value in homs:
+        assert len(value) == len(value.homs) + 1
     torus = Lattice.diagonal([40, 40])
     domino = Tile.make(2, [(0, 0), (1, 0)])
     aset = PeriodicSet.make(torus, [(x, y) for x in range(0, 40, 2) for y in range(40)])

@@ -14,6 +14,7 @@ from tilekit.lattice import (
     _avoiding,
     Lattice,
     PeriodicSet,
+    QuotientGroup,
     enumerate_sublattices,
     hnf,
     stabilizer,
@@ -26,10 +27,8 @@ from tilekit.solve import (
     _differences,
     _on_stabilizer,
     _Recoder,
-    AllDPeriodic,
     SearchProblem,
     brute_force_quotient,
-    common_stabilizer,
     independent_cotile_index_bound,
     lift_to_full_period,
     piecewise_to_periodic,
@@ -69,11 +68,33 @@ def test_solve_quotient_unit_pair_in_z():
     assert [s.sorted_members for s in sols] == [((0,),), ((1,),)]
 
 
-def test_solve_quotient_injectivity_infeasible():
+def _projections(monkeypatch):
+    """The lattices that QuotientGroup.numbers projects on from now on."""
+    seen, numbers = [], QuotientGroup.numbers
+
+    def counted(quotient, vectors):
+        seen.append(quotient.lattice)
+        return numbers(quotient, vectors)
+
+    monkeypatch.setattr(QuotientGroup, "numbers", counted)
+    return seen
+
+
+def test_solve_quotient_injectivity_infeasible(monkeypatch):
     tiles = TileTuple.make([six_block()])
     problem = SearchProblem.build(tiles, Lattice.diagonal([6]))
     assert not problem.feasible and not all(problem.injective)
     assert solve_quotient(tiles, Lattice.diagonal([6])) == []
+    # in Z^3 the box pair's index divides, but its second tile meets itself
+    # modulo the lattice; the projection is made at the first read, once
+    projections = _projections(monkeypatch)
+    lat = hnf(3, [(2, 0, 0), (0, 2, 0), (0, 1, 1)])
+    problem = SearchProblem.build(box_pair(), lat)
+    assert problem.size_divides and projections == []
+    assert problem.injective == (True, False) and not problem.feasible
+    assert problem.projected == ((0, 2, 1, 3), (0, 0, 3, 1))
+    assert projections == [lat, lat]   # one numbers call a tile
+    assert solve_quotient(box_pair(), lat) == []
 
 
 def test_solve_quotient_first_mode():
@@ -427,10 +448,13 @@ def test_cyclotomic_bound_on_the_box_pair():
 
 def test_solve_quotient_consults_the_bound_in_dimension_two_and_up(monkeypatch):
     # In dimension 1 the bound is left out; elsewhere solve_quotient asks it
-    # once per feasible quotient, after the build, and an empty answer follows.
-    asked = []
+    # once per quotient whose index the tile sizes divide, before the
+    # projection is made and before injectivity is tested, and an empty
+    # answer follows.
+    asked, projections = [], _projections(monkeypatch)
 
     def bound(problem):
+        assert problem.lattice not in projections
         asked.append(problem.lattice)
         return True
 
@@ -440,6 +464,41 @@ def test_solve_quotient_consults_the_bound_in_dimension_two_and_up(monkeypatch):
     assert solve_quotient(box_pair(), Lattice.diagonal([2, 2, 1])) == []
     assert solve_quotient(box_pair(), Lattice.diagonal([3, 1, 1])) == []
     assert asked == [Lattice.diagonal([2, 2, 1])]
+    # on 4Z x Z x Z the index divides, but neither tile projects one-to-one
+    assert solve_quotient(box_pair(), Lattice.diagonal([4, 1, 1])) == []
+    assert asked == [Lattice.diagonal([2, 2, 1]), Lattice.diagonal([4, 1, 1])]
+    assert not any(SearchProblem.build(box_pair(), Lattice.diagonal([4, 1, 1])).injective)
+
+
+def test_level_memo_follows_the_tuple_asked_last(monkeypatch):
+    # The bound's level counts are memoised by (p, k, c) for the tuple asked
+    # last.  The box pair and its image under (x, y, z) -> (x + z, y, z)
+    # share every lattice and every row c, but not the counts: on
+    # 2Z x 2Z x Z the bound empties the image's quotient and not the pair's.
+    # Sweeps and lone calls on the two are interleaved, and every verdict is
+    # the plain count's.
+    pair = box_pair()
+    turned = TileTuple.make([Tile.make(3, [(x + z, y, z) for x, y, z in t.sorted_points])
+                             for t in pair])
+    lat = Lattice.diagonal([2, 2, 1])
+    verdicts = []
+    bound = solve_module._cyclotomic_obstruction
+
+    def recorded(problem):
+        verdicts.append((problem.tiles, problem.lattice, bound(problem)))
+        return verdicts[-1][2]
+
+    monkeypatch.setattr(solve_module, "_cyclotomic_obstruction", recorded)
+    assert len(solve_quotient(pair, lat)) == 4
+    assert solve_quotient(turned, lat) == []
+    swept = search_periodic_cotile(turned, 8)
+    assert len(solve_quotient(pair, lat)) == 4
+    assert len(search_periodic_cotile(pair, 8)) == len(swept)
+    assert solve_quotient(turned, lat) == []
+    assert [v for _, at, v in verdicts if at == lat] == [False, True, False, False, True]
+    assert {tiles for tiles, _, _ in verdicts} == {pair, turned}
+    for tiles, at, verdict in verdicts:
+        assert verdict == _plain_cyclotomic_bound(tiles, at)
 
 
 @st.composite
@@ -826,32 +885,8 @@ def test_piecewise_rejects_non_cotile_and_overlap():
     tiles, a1, a2 = _domino_setup()
     with pytest.raises(NotACotileError):
         piecewise_to_periodic(tiles, [a1])
-    with pytest.raises(InputContractError):
+    with pytest.raises(NotAPartitionError):
         piecewise_to_periodic(tiles, [a1, a1.translate((0, 0))])
-
-
-def test_common_stabilizer_column_partition():
-    evens = PeriodicSet.make(Lattice.diagonal([2, 1]), [(0, 0)])
-    odds = PeriodicSet.make(Lattice.diagonal([2, 1]), [(1, 0)])
-    verdict = common_stabilizer([evens, odds])
-    assert isinstance(verdict, AllDPeriodic)
-    # the carried intersection genuinely stabilizes every piece
-    for piece in (evens, odds):
-        for col in verdict.common.basis:
-            assert piece.translate(col).members == piece.members
-
-
-def test_common_stabilizer_single_full_piece():
-    whole = PeriodicSet.make(Lattice.identity(2), [(0, 0)])
-    assert isinstance(common_stabilizer([whole]), AllDPeriodic)
-
-
-def test_common_stabilizer_rejects_non_partition():
-    evens = PeriodicSet.make(Lattice.diagonal([2, 1]), [(0, 0)])
-    with pytest.raises(NotAPartitionError):
-        common_stabilizer([evens])
-    with pytest.raises(NotAPartitionError):
-        common_stabilizer([evens, evens])
 
 
 def test_independent_index_bound_is_sufficient_for_unit_pair():
