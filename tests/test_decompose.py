@@ -22,7 +22,7 @@ from tilekit.errors import (
     PreconditionUnverifiedError,
     PropertyStarRequiredError,
 )
-from tilekit.lattice import Lattice, PeriodicSet, vscale
+from tilekit.lattice import Lattice, PeriodicSet, hnf, vscale
 from tilekit.tiles import PeriodicRationalFunction, Tile, TileTuple, indicator
 from conftest import box_cotile, box_pair, six_block, six_block_fn
 
@@ -215,6 +215,33 @@ def test_psi_requires_property_star():
                 raise PropertyStarRequiredError("fixture is not a co-tile")
             if tree_ok:
                 psi_by_span(tree, cls)
+
+
+def test_shift_differences_vanish_along_the_stabilizer():
+    # f(x + v) - f(x) is 0 exactly when v fixes f: for a constant along
+    # every v, for the halves along 2Z, and along 1 it takes -1 and 1
+    const = PeriodicRationalFunction.constant(Lattice.identity(1), 3)
+    assert (const.shift((1,)) - const).is_constant(0)
+    f = halves()
+    assert (f.shift((2,)) - f).is_constant(0)
+    assert sorted((f.shift((1,)) - f).values.values()) == [Fraction(-1), Fraction(1)]
+    g = PeriodicRationalFunction.from_callable(Lattice.diagonal([2, 2]), lambda r: r[0] ^ r[1])
+    for a, b in itertools.product((-1, 0, 1), repeat=2):
+        assert (g.shift((2 * a, 2 * b)) - g).is_constant(0)
+        assert (g.shift((a, b)) - g).is_constant(0) == (a % 2 == b % 2)
+
+
+def test_invariance_along_lattices_examples():
+    # a function is constant on the cosets of a lattice exactly when its
+    # stabilizer holds that lattice
+    const = PeriodicRationalFunction.constant(Lattice.identity(2), 9)
+    assert const.stabilizer().contains_lattice(Lattice.identity(2))
+    f = halves()
+    assert f.stabilizer().contains_lattice(Lattice.diagonal([2]))
+    assert not f.stabilizer().contains_lattice(Lattice.identity(1))
+    g = PeriodicRationalFunction.from_callable(Lattice.diagonal([2, 2]), lambda r: r[0] ^ r[1])
+    assert g.stabilizer() == hnf(2, [(1, 1), (0, 2)])
+    assert not g.stabilizer().contains_lattice(Lattice.diagonal([1, 2]))
 
 
 def test_lattice_in_subspace_integer_points():

@@ -15,6 +15,7 @@ from tilekit.lattice import (
     Lattice,
     PeriodicSet,
     QuotientGroup,
+    _Cache,
     _Characters,
     _bits,
     _quotients,
@@ -27,6 +28,7 @@ from tilekit.lattice import (
     vneg,
     vscale,
 )
+from tilekit import lattice as lattice_module
 from tilekit.solve import search_periodic_cotile
 from tilekit.tiles import (PeriodicRationalFunction, Tile, TileTuple, WeightedTile, convolve,
                            dilate, indicator)
@@ -428,6 +430,27 @@ def test_characters_of_z4_x_z2():
     kept = _Characters(lat.pivots, lat.basis, 2)
     assert kept.homs == ((2, (1, 0)), (2, (1, 2)), (1, (0, 1)), (1, (1, 1)))
     assert lat.quotient().characters(2).homs == kept.homs
+
+
+def test_characters_are_charged_one_entry_a_hom(monkeypatch):
+    # The record holds its homs and nothing else, and the quotient cache
+    # counts it at one entry a hom, plus one for the record.
+    cache = _Cache(10 ** 9)
+    monkeypatch.setattr(lattice_module, "_quotients", cache)
+    assert _Characters.__slots__ == ("homs",)
+    charged = 0
+    for n in (8, 12, 16):
+        for lat in enumerate_sublattices(2, n):
+            quotient = lat.quotient()
+            for p in (2, 3):
+                held = cache.held
+                kept = quotient.characters(p)
+                assert len(kept) == len(kept.homs) + 1
+                assert cache.held - held == len(kept)
+                assert cache.values[lat.basis, p] is kept
+                assert quotient.characters(p) is kept and cache.held - held == len(kept)
+                charged += len(kept.homs)
+    assert charged
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

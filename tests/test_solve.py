@@ -501,6 +501,80 @@ def test_level_memo_follows_the_tuple_asked_last(monkeypatch):
         assert verdict == _plain_cyclotomic_bound(tiles, at)
 
 
+def test_level_memo_holds_one_tuple_compared_by_identity():
+    # After a call the memo belongs to the tuple asked, and each entry is the
+    # count _levels makes afresh; an equal tuple that is another object
+    # starts a fresh memo, with the same verdicts.
+    lat = Lattice.diagonal([4, 2, 1])   # Z/4 x Z/2, with homs onto Z/4
+    pair = box_pair()
+    assert solve_quotient(pair, lat) == solve_quotient(pair, lat)
+    held, memo = solve_module._level_memo
+    assert held is pair and memo
+    for (p, k, c), levels in memo.items():
+        assert levels == solve_module._levels(pair, p, k, c)
+    again = box_pair()
+    assert again == pair and again is not pair
+    assert solve_quotient(again, lat) == solve_quotient(pair, lat)
+    solve_quotient(again, lat)
+    held, fresh = solve_module._level_memo
+    assert held is again and fresh is not memo and fresh == memo
+
+
+def test_levels_of_cyclic_images():
+    # The image of {0, 1} in Z/4 is 1 + x, divisible by Phi_2 and not by
+    # Phi_4: one level; {0, 2} is 1 + x^2, the other way round; {0, 1, 2, 3}
+    # is divisible by both and {0} by neither.  (1 + x)(1 + x^4) and
+    # (1 + x^3)(1 + x^4) in Z/8 miss Phi_4 only, alone or together, and
+    # 1 + x^2 misses Phi_2 and Phi_8, so with it every level counts.
+    def levels(k, *point_sets, c=(1,)):
+        tiles = TileTuple.make([Tile.make(len(c), points) for points in point_sets])
+        return solve_module._levels(tiles, 2, k, c)
+
+    assert levels(2, [(0,), (1,)]) == 1
+    assert levels(2, [(0,), (2,)]) == 1
+    assert levels(2, [(x,) for x in range(4)]) == 0
+    assert levels(2, [(0,)]) == 2
+    assert levels(3, [(x,) for x in (0, 1, 4, 5)]) == 1
+    assert levels(3, [(x,) for x in (0, 1, 4, 5)], [(x,) for x in (0, 3, 4, 7)]) == 1
+    assert levels(3, [(0,), (2,)]) == 2
+    assert levels(3, [(x,) for x in (0, 1, 4, 5)], [(0,), (2,)]) == 3
+    # the row c = (1, 2) maps the unit square onto all of Z/4
+    assert levels(2, [(0, 0), (1, 0), (0, 1), (1, 1)], c=(1, 2)) == 0
+    assert levels(2, [(0, 0), (1, 0), (0, 1), (1, 1)], c=(1, 0)) == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_bound_instances())
+@example((TileTuple.make([Tile.make(2, [(0, 0), (4, 0)])]), Lattice.diagonal([4, 1])))
+def test_cyclotomic_bound_matches_a_plain_count_where_the_index_divides(instance):
+    # The bound is asked before injectivity is known, so it must hold on
+    # every quotient whose index the tile sizes divide, a tile that meets
+    # itself included; there an empty answer follows either way.
+    tiles, lat = instance
+    problem = SearchProblem.build(tiles, lat)
+    if problem.size_divides:
+        empty = _cyclotomic_obstruction(problem)
+        assert empty == _plain_cyclotomic_bound(tiles, lat)
+        if empty or not problem.feasible:
+            assert solve_quotient(tiles, lat) == []
+
+
+def test_projection_is_made_at_the_first_read_and_kept():
+    # projected holds, per tile, the residue numbers of its sorted points;
+    # it is made once, and injective and feasible are read off it
+    cases = [(box_pair(), lat) for n in (4, 8) for lat in enumerate_sublattices(3, n)]
+    cases += [(TileTuple.make([six_block()]), Lattice.diagonal([n])) for n in (6, 12)]
+    for tiles, lat in cases:
+        problem = SearchProblem.build(tiles, lat)
+        assert "_projected" not in problem.__dict__
+        projected = problem.projected
+        assert projected == tuple(lat.quotient().numbers(t.sorted_points) for t in tiles)
+        assert problem.projected is projected
+        assert problem.injective == tuple(len(set(res)) == len(res) for res in projected)
+        assert problem.feasible == (problem.size_divides and all(problem.injective))
+        assert problem == SearchProblem.build(tiles, lat)
+
+
 @st.composite
 def _periodic_sets(draw):
     """Non-empty member sets on a lattice of index at most 24, half of them
