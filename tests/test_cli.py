@@ -167,6 +167,27 @@ def test_decompose_command(capsys):
     assert len(doc["nodes"]) == 12
 
 
+def test_decompose_pins_fractional_nodes_at_level_two(capsys, tmp_path):
+    # the six-point block and {0, 3, 5, 6, 8, 11} both convolve with twice the
+    # six-block function to 2; q * v has order 3 modulo 18Z, so nodes take thirds
+    tiles = _write(tmp_path / "t.json", {"kind": "tile_tuple", "tiles": [
+        {"kind": "tile", "dim": 1, "points": [[0], [1], [3], [4], [6], [7]]},
+        {"kind": "tile", "dim": 1, "points": [[0], [3], [5], [6], [8], [11]]}]})
+    six_block_fn = [(1 if r % 2 == 0 else 0) - (1 if r % 9 in (0, 1, 2) else 0) for r in range(18)]
+    fn = _write(tmp_path / "f.json", {
+        "kind": "function", "lattice": {"kind": "lattice", "dim": 1, "basis": [[18]]},
+        "values": [[[r], 2 * v] for r, v in enumerate(six_block_fn)]})
+    argv = ["decompose", "--tiles", tiles, "--cotile", fn, "--level", "2", "--level", "2"]
+    assert run(capsys, *argv) == (
+        0, "decomposition with q = 614889782588491410: 30 nodes, identities all hold\n", "")
+    code, out, err = run(capsys, "--json", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "4561d8a0c3b99f119d984a306a046792f668bacc86c5536c8757f112d7d1fdac"
+    values = {v for node in json.loads(out)["nodes"] for _, v in node["values"]}
+    assert "-2/3" in values and "4/3" in values
+
+
 def test_dilate_and_check(capsys):
     code, out, _ = run(capsys, "--json", "dilate",
                        "--tile", fx("box_flat_z3_tile.json"), "-r", "7",

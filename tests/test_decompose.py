@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tilekit.analysis import RationalSubspace, span_classes
 from tilekit.decompose import (
+    DecompositionReport,
     _lattice_in_subspace,
     build_decomposition,
     compute_q,
@@ -134,25 +136,86 @@ def test_degenerate_origin_tile():
     assert verify_decomposition(tree).ok
 
 
+def _pair_at_level_two():
+    # the six-point block and {0, 3, 5, 6, 8, 11} both convolve with twice the
+    # six-block function to 2; q * v has order 3 modulo 18Z, so nodes take thirds
+    tiles = TileTuple.make([six_block(), Tile.make(1, [(0,), (3,), (5,), (6,), (8,), (11,)])])
+    return build_decomposition(tiles, six_block_fn().scale(2), levels=[2, 2])
+
+
+def _oracle_trees():
+    doubled = PeriodicRationalFunction.from_callable(
+        Lattice.diagonal([2]), lambda r: 2 if r[0] == 0 else 0)
+    level_pair = TileTuple.make([Tile.make(1, [(0,), (1,)]), Tile.make(1, [(0,), (3,)])])
+    return [build_decomposition(box_pair(), indicator(box_cotile())),
+            build_decomposition(TileTuple.make([six_block()]), six_block_fn()),
+            build_decomposition(level_pair, doubled, levels=[2, 2]),
+            _pair_at_level_two()]
+
+
 def test_finite_average_equals_stored_node_on_multiples():
-    # averaging over any multiple of the exact multi-period reproduces the node
-    tiles = box_pair()
-    f = indicator(box_cotile())
-    tree = build_decomposition(tiles, f)
-    lat = f.lattice
-    chain = (tree.tiles[0].sorted_star[0], tree.tiles[1].sorted_star[0])
-    node = tree.node(chain)
-    orders = [lat.order_of(vscale(tree.q, v)) for v in chain]
-    for mult in (2, 3):
-        total = Fraction(0)
-        count = 0
-        x = (0, 0, 0)
-        for ns in itertools.product(*[range(1, mult * m + 1) for m in orders]):
-            shift = tuple(sum((1 + n * tree.q) * v[i] for n, v in zip(ns, chain))
-                          for i in range(3))
-            total += f(tuple(a - b for a, b in zip(x, shift)))
-            count += 1
-        assert total / count == node(x)
+    # every node of four trees is the average of f(x - sum_j (1 + n_j q) v_j)
+    # over n_j in 1..mult * m_j, with m_j the least m >= 1 such that m q v_j
+    # lies in the lattice; evaluated point by point in Fractions over one
+    # fundamental domain, with no table, convolution or tree code
+    for tree in _oracle_trees():
+        f = tree.root
+        lat = f.lattice
+        d = lat.dim
+        for chain, node in tree.nodes.items():
+            assert node.lattice == lat and math.gcd(node.den, *node.nums) == 1
+            orders = [next(m for m in itertools.count(1) if lat.contains(vscale(m * tree.q, v)))
+                      for v in chain]
+            for mult in (1, 2):
+                ranges = [range(1, mult * m + 1) for m in orders]
+                count = math.prod(map(len, ranges))
+                for x in lat.quotient().residues:
+                    total = Fraction(0)
+                    for ns in itertools.product(*ranges):
+                        total += f(tuple(x[i] - sum((1 + n * tree.q) * v[i] for n, v in zip(ns, chain))
+                                         for i in range(d)))
+                    assert total / count == node(x), (chain, x)
+
+
+def _with_node(tree, chain, node):
+    nodes = dict(tree.nodes)
+    nodes[chain] = node
+    return dataclasses.replace(tree, nodes=nodes)
+
+
+def test_verify_decomposition_reports_a_broken_tree():
+    tree = build_decomposition(box_pair(), indicator(box_cotile()))
+    a, b, c = (1, 0, 0), (0, 1, 0), (1, 1, 1)
+    node = tree.node((b,))
+    changed = PeriodicRationalFunction(node.lattice, node.den, (node.nums[0] + 1,) + node.nums[1:])
+    assert verify_decomposition(_with_node(tree, (b,), changed)) == DecompositionReport(
+        recursion=(((b,), "recursion to depth 2 fails"),),
+        reconstruction=((1, "depth-1 reconstruction fails"),),
+        invariance=(),
+        convolution=(((b,), 0, "convolution"), ((b,), 1, "convolution")))
+    scaled = _with_node(tree, (a, c), tree.node((a, c)).scale(2))
+    assert verify_decomposition(scaled) == DecompositionReport(
+        recursion=(((a,), "recursion to depth 2 fails"),),
+        reconstruction=((2, "depth-2 reconstruction fails"),),
+        invariance=(),
+        convolution=(((a, c), 0, "convolution"), ((a, c), 1, "convolution")))
+    # with q = 1 every node fails invariance along every vector of its chain
+    # and nothing else
+    report = verify_decomposition(dataclasses.replace(tree, q=1))
+    assert report.recursion == report.reconstruction == report.convolution == ()
+    assert report.invariance == tuple((chain, v) for i in (1, 2) for chain in tree.chains(i)
+                                      for v in chain)
+    # a node presented on a finer lattice is compared as a function on Z^3
+    fine = tree.node((a, c)).refine(Lattice.diagonal([4, 2, 3]))
+    assert verify_decomposition(_with_node(tree, (a, c), fine)).ok
+    nums = list(fine.nums)
+    nums[5] += 2
+    broken = PeriodicRationalFunction(fine.lattice, fine.den, tuple(nums))
+    assert verify_decomposition(_with_node(tree, (a, c), broken)) == DecompositionReport(
+        recursion=(((a,), "recursion to depth 2 fails"),),
+        reconstruction=((2, "depth-2 reconstruction fails"),),
+        invariance=(((a, c), a), ((a, c), c)),
+        convolution=(((a, c), 0, "convolution"), ((a, c), 1, "convolution")))
 
 
 def test_independence_gives_full_rank_node_stabilizers():
