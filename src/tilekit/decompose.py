@@ -13,8 +13,9 @@ is built from its parent by one such average,
 
     phi_{c + (v,)}(x) = (1/m) sum_{n=1..m} phi_c(x - (1 + n q) v),
 
-with m the order of q*v.  The tree's four defining identities are then
-re-checked value by value, never assumed.
+with m the order of q*v, a sum over the coset of x - v modulo q*v.  The four
+defining identities are then re-checked value by value, on integer
+numerators over one denominator, never assumed.
 
 Also here: the dilation identity checker and span-grouped sums of
 depth-(d-1) nodes.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 
 from .errors import (
     InputContractError,
@@ -34,8 +36,8 @@ from .errors import (
     PreconditionUnverifiedError,
     PropertyStarRequiredError,
 )
-from .lattice import _integer_kernel, hnf, vscale
-from .tiles import PeriodicRationalFunction, WeightedTile, convolve, dilate
+from .lattice import _integer_kernel, hnf, vneg, vscale
+from .tiles import PeriodicRationalFunction, _canonical, dilate
 from . import verify
 from .analysis import has_property_star
 
@@ -47,11 +49,7 @@ def is_prime(n):
 
 def primorial(bound):
     """Product of all primes up to bound (1 when bound < 2)."""
-    q = 1
-    for n in range(2, bound + 1):
-        if is_prime(n):
-            q *= n
-    return q
+    return prod(filter(is_prime, range(2, bound + 1)))
 
 
 def compute_q(fn, s):
@@ -114,15 +112,28 @@ class DecompositionTree:
         return self.nodes[tuple(chain)]
 
 
-def _average_step(lat, q, v):
-    """(w, 1/m) with m the order of q*v modulo lat and w the sum of the deltas
-    at (1 + n q) v, n = 1..m: phi_{c + (v,)} = (1/m) w * phi_c."""
-    m = lat.order_of(vscale(q, v))
-    counts = {}
-    for n in range(1, m + 1):
-        shift = lat.reduce(vscale(1 + n * q, v))
-        counts[shift] = counts.get(shift, 0) + 1
-    return WeightedTile.make(lat.dim, counts), Fraction(1, m)
+def _cosets(quotient, q, v):
+    """The cosets of q*v in Z^d / L, each the orbit of a residue number under
+    the q*v translation table, so each has the order of q*v as its length;
+    and for each residue number a, the coset of residues[a] - v."""
+    step = quotient.translation(vscale(q, v))
+    index = [None] * len(step)
+    cosets = []
+    for a in range(len(step)):
+        if index[a] is None:
+            cosets.append([])
+            while index[a] is None:
+                index[a] = len(cosets) - 1
+                cosets[-1].append(a)
+                a = step[a]
+    return cosets, [index[b] for b in quotient.translation(vneg(v))]
+
+
+def _average(parent, cosets, pick):
+    """The child of parent along v, from v's _cosets: the sum of parent over
+    the coset of each x - v, divided by the coset length."""
+    sums = [sum(map(parent.nums.__getitem__, coset)) for coset in cosets]
+    return _canonical(parent.lattice, parent.den * len(cosets[0]), [sums[c] for c in pick])
 
 
 def build_decomposition(tiles, fn, levels=None):
@@ -151,11 +162,11 @@ def build_decomposition(tiles, fn, levels=None):
         s_eff = max(int(l) for l in levels) * max(t.size for t in tiles)
     q = compute_q(fn, s_eff)
 
-    steps = {v: _average_step(fn.lattice, q, v) for tile in tiles for v in tile.star}
+    cosets = {v: _cosets(fn.lattice.quotient(), q, v) for tile in tiles for v in tile.star}
     nodes = {}
     level = {(): fn}
     for tile in tiles:
-        level = {chain + (v,): convolve(steps[v][0], parent).scale(steps[v][1])
+        level = {chain + (v,): _average(parent, *cosets[v])
                  for chain, parent in level.items() for v in tile.sorted_star}
         nodes.update(level)
     return DecompositionTree(tiles, fn, q, levels, nodes)
@@ -200,60 +211,49 @@ def reconstruction_constant(levels, sizes, depth):
 
 
 def verify_decomposition(tree):
-    """Exact re-check of the four identities on every node of the tree."""
-    tiles = tree.tiles
-    fn = tree.cotile_fn
-    lat = fn.lattice
-    k = len(tiles.tiles)
+    """Exact re-check of the four identities on every node of the tree, as
+    identities of integer lists: every node, level and constant over one
+    denominator, on the root's lattice (or the intersection with a node's
+    own, where it differs), with each translation table fetched once."""
+    tiles, k = tree.tiles, tree.depth
     sizes = [t.size for t in tiles]
-    recursion = []
-    reconstruction = []
-    invariance = []
-    convolution = []
-
-    for i in range(1, k):
-        for chain in tree.chains(i):
-            lhs = tree.node(chain)
-            rhs = tree.levels[i] - _sum_nodes(
-                [tree.node(chain + (v,)) for v in tiles[i].sorted_star], lat)
-            if lhs != rhs:
+    chains = [list(tree.chains(i)) for i in range(k + 1)]
+    fns = {chain: tree.node(chain) for layer in chains for chain in layer}
+    lat = tree.cotile_fn.lattice
+    for fn in fns.values():
+        if fn.lattice != lat:
+            lat = lat.intersect(fn.lattice)
+    consts = [reconstruction_constant(tree.levels, sizes, i) for i in range(k + 1)]
+    den = lcm(*[fn.den for fn in fns.values()], *[c.denominator for c in (*tree.levels, *consts)])
+    nums = {chain: [x * (den // fn.den) for x in fn.refine(lat).nums] for chain, fn in fns.items()}
+    levels, consts = ([c.numerator * (den // c.denominator) for c in cs] for cs in (tree.levels, consts))
+    n = len(nums[()])
+    quotient = lat.quotient()
+    shifts = {v: quotient.translation(vscale(tree.q, v)) for tile in tiles for v in tile.star}
+    moves = [[quotient.translation(vneg(y)) for y in tile.sorted_points] for tile in tiles]
+    recursion, reconstruction, invariance, convolution = [], [], [], []
+    for i in range(1, k + 1):
+        for chain in chains[i]:
+            node = nums[chain]
+            if i < k and _sum_lists(
+                    [node] + [nums[chain + (v,)] for v in tiles[i].sorted_star]).count(levels[i]) != n:
                 recursion.append((chain, "recursion to depth %d fails" % (i + 1)))
-
-    for i in range(1, k + 1):
-        total = _sum_nodes([tree.node(chain) for chain in tree.chains(i)], lat)
-        expected = total.scale(-1 if i % 2 else 1) + reconstruction_constant(
-            tree.levels, sizes, i)
-        if expected != fn:
-            reconstruction.append((i, "depth-%d reconstruction fails" % i))
-
-    for i in range(1, k + 1):
-        for chain in tree.chains(i):
-            node = tree.node(chain)
-            for v in chain:
-                qv = vscale(tree.q, v)
-                if node.shift(qv) != node:
-                    invariance.append((chain, v))
-
-    for i in range(1, k + 1):
-        for chain in tree.chains(i):
-            node = tree.node(chain)
-            for j, tile in enumerate(tiles):
-                if not verify.is_level_tiling(tile, node, tree.levels[j]):
+            invariance += [(chain, v) for v in chain if [node[a] for a in shifts[v]] != node]
+            for j, tables in enumerate(moves):
+                if _sum_lists([map(node.__getitem__, t) for t in tables]).count(levels[j]) != n:
                     convolution.append((chain, j, "convolution"))
-                elif verify.mean(node) != tree.levels[j] / sizes[j]:
+                elif sum(node) * sizes[j] != levels[j] * n:   # the mean, cross-multiplied
                     convolution.append((chain, j, "mean"))
-
+        total = _sum_lists([[0] * n] + [nums[chain] for chain in chains[i]])
+        if [consts[i] + (-1) ** i * t for t in total] != nums[()]:
+            reconstruction.append((i, "depth-%d reconstruction fails" % i))
     return DecompositionReport(tuple(recursion), tuple(reconstruction),
                                tuple(invariance), tuple(convolution))
 
 
-def _sum_nodes(fns, lattice):
-    if not fns:
-        return PeriodicRationalFunction.constant(lattice, 0)
-    total = fns[0]
-    for fn in fns[1:]:
-        total = total + fn
-    return total
+def _sum_lists(rows):
+    """The entry-by-entry sum of one or more equally long integer sequences."""
+    return list(map(sum, zip(*rows)))
 
 
 def psi_by_span(tree, classes):
@@ -272,18 +272,18 @@ def psi_by_span(tree, classes):
     if not star:
         raise PropertyStarRequiredError(f"offending selections: {star.witness}")
 
+    zero = PeriodicRationalFunction.constant(tree.cotile_fn.lattice, 0)
     psi = {}
     prefix_of = {}
     for space, tuples in classes:
-        psi[space] = _sum_nodes([tree.node(chain) for chain in tuples],
-                                tree.cotile_fn.lattice)
+        psi[space] = sum((tree.node(chain) for chain in tuples), zero)
         prefix_of[space] = tuples[0][:d - 2]
 
     failures = []
     for prefix in tree.chains(d - 2):
         group = [space for space, p in prefix_of.items() if p == prefix]
         lhs = tree.levels[d - 2] - tree.node(prefix)
-        rhs = _sum_nodes([psi[space] for space in group], tree.cotile_fn.lattice)
+        rhs = sum((psi[space] for space in group), zero)
         if lhs != rhs:
             failures.append(prefix)
     if failures:

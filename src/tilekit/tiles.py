@@ -59,7 +59,7 @@ class Tile:
     def sorted_points(self):
         return tuple(sorted(self.points))
 
-    @property
+    @cached_property
     def sorted_star(self):
         return tuple(sorted(self.star))
 
@@ -149,10 +149,6 @@ class WeightedTile:
         return WeightedTile(dim, entries)
 
     @staticmethod
-    def from_tile(tile):
-        return WeightedTile(tile.dim, tuple((p, 1) for p in tile.sorted_points))
-
-    @staticmethod
     def delta(dim):
         return WeightedTile(dim, (((0,) * dim, 1),))
 
@@ -163,11 +159,12 @@ class WeightedTile:
         return f"WeightedTile({self.dim}, {dict(self.entries)})"
 
 
-def as_weighted(g):
-    if isinstance(g, WeightedTile):
-        return g
+def weighted_points(g):
+    """The (point, weight) pairs of a WeightedTile, or of a Tile with weight 1."""
     if isinstance(g, Tile):
-        return WeightedTile.from_tile(g)
+        return [(p, 1) for p in g.sorted_points]
+    if isinstance(g, WeightedTile):
+        return g.entries
     raise TypeError(f"expected Tile or WeightedTile, got {type(g).__name__}")
 
 
@@ -348,12 +345,12 @@ def indicator(aset):
         [aset.mask >> a & 1 for a in range(aset.lattice.quotient().size)]))
 
 
-def convolve_ints(g, quotient, values):
+def convolve_ints(entries, quotient, values):
     """Exact convolution on residue numbers: entry a of the result is
-    sum_y w_y * values[number of residues[a] - y] over the entries (y, w_y) of
-    the weighted tile g, for the integers `values` listed in residue order."""
+    sum_y w_y * values[number of residues[a] - y] over the pairs (y, w_y) of
+    weighted_points, for the integers `values` listed in residue order."""
     acc = [0] * len(values)
-    for y, w in g.entries:
+    for y, w in entries:
         moved = map(values.__getitem__, quotient.translation(vneg(y)))
         if w != 1:
             moved = [w * x for x in moved]
@@ -362,10 +359,10 @@ def convolve_ints(g, quotient, values):
 
 
 def convolve(g, f):
-    """Exact convolution (g * f)(x) = sum_y g(y) f(x - y) of a finitely supported
-    integer function with a periodic rational function; the result keeps f's
+    """Exact convolution (g * f)(x) = sum_y g(y) f(x - y) of a Tile or
+    WeightedTile with a periodic rational function; the result keeps f's
     lattice and f's denominator, reduced against the integer sums."""
-    g = as_weighted(g)
+    entries = weighted_points(g)
     if g.dim != f.dim:
         raise InputContractError("dimension mismatch in convolution")
-    return _canonical(f.lattice, f.den, convolve_ints(g, f.lattice.quotient(), f.nums))
+    return _canonical(f.lattice, f.den, convolve_ints(entries, f.lattice.quotient(), f.nums))

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InputContractError
-from .tiles import as_weighted, convolve_ints, indicator
+from .tiles import convolve_ints, indicator, weighted_points
 
 DEFECT_CAP = 32
 
@@ -65,14 +65,14 @@ def is_joint_cotile(tiles, aset):
 
 def is_level_tiling(g, fn, level):
     """Whether g * f is identically `level` on the fundamental domain."""
-    g = as_weighted(g)
+    entries = weighted_points(g)
     if g.dim != fn.dim:
         raise InputContractError("tile and function have different dimensions")
     level = Fraction(level)
     quotient = fn.lattice.quotient()
     den = lcm(fn.den, level.denominator)
     k = den // fn.den
-    sums = convolve_ints(g, quotient, fn.nums if k == 1 else [k * n for n in fn.nums])
+    sums = convolve_ints(entries, quotient, fn.nums if k == 1 else [k * n for n in fn.nums])
     return _report(quotient, sums, level.numerator * (den // level.denominator), den)
 
 

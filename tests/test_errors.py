@@ -9,7 +9,7 @@ from tilekit import errors
 ERROR_TYPES = {name for name, obj in vars(errors).items()
                if isinstance(obj, type) and issubclass(obj, Exception)}
 # programming errors that keep their builtin type, and the CLI's own usage error
-OTHER_RAISES = {("tiles.py", "TypeError"),        # as_weighted: wrong argument type
+OTHER_RAISES = {("tiles.py", "TypeError"),        # weighted_points: wrong argument type
                 ("jsonio.py", "TypeError"),       # to_document: not a domain type
                 ("cli.py", "_UsageError")}
 
