@@ -122,10 +122,11 @@ def _cosets(quotient, q, v):
     for a in range(len(step)):
         if index[a] is None:
             cosets.append([])
-            while index[a] is None:
-                index[a] = len(cosets) - 1
-                cosets[-1].append(a)
-                a = step[a]
+            b = a
+            while index[b] is None:
+                index[b] = len(cosets) - 1
+                cosets[-1].append(b)
+                b = step[b]
     return cosets, [index[b] for b in quotient.translation(vneg(v))]
 
 
@@ -201,7 +202,7 @@ def reconstruction_constant(levels, sizes, depth):
     prod_{t<j} (|F_t| - 1); for plain tilings this is the alternating
     geometric sum in (S - 1).
     """
-    c = Fraction(0)
+    c = 0
     for j in range(1, depth + 1):
         term = levels[j - 1]
         for t in range(1, j):
@@ -223,10 +224,10 @@ def verify_decomposition(tree):
     for fn in fns.values():
         if fn.lattice != lat:
             lat = lat.intersect(fn.lattice)
-    consts = [reconstruction_constant(tree.levels, sizes, i) for i in range(k + 1)]
-    den = lcm(*[fn.den for fn in fns.values()], *[c.denominator for c in (*tree.levels, *consts)])
+    den = lcm(*[fn.den for fn in fns.values()], *[l.denominator for l in tree.levels])
     nums = {chain: [x * (den // fn.den) for x in fn.refine(lat).nums] for chain, fn in fns.items()}
-    levels, consts = ([c.numerator * (den // c.denominator) for c in cs] for cs in (tree.levels, consts))
+    levels = [l.numerator * (den // l.denominator) for l in tree.levels]
+    consts = [reconstruction_constant(levels, sizes, i) for i in range(k + 1)]
     n = len(nums[()])
     quotient = lat.quotient()
     shifts = {v: quotient.translation(vscale(tree.q, v)) for tile in tiles for v in tile.star}
@@ -235,9 +236,10 @@ def verify_decomposition(tree):
     for i in range(1, k + 1):
         for chain in chains[i]:
             node = nums[chain]
-            if i < k and _sum_lists(
-                    [node] + [nums[chain + (v,)] for v in tiles[i].sorted_star]).count(levels[i]) != n:
-                recursion.append((chain, "recursion to depth %d fails" % (i + 1)))
+            if i < k:
+                total = _sum_lists([node] + [nums[chain + (v,)] for v in tiles[i].sorted_star])
+                if total.count(levels[i]) != n:
+                    recursion.append((chain, "recursion to depth %d fails" % (i + 1)))
             invariance += [(chain, v) for v in chain if [node[a] for a in shifts[v]] != node]
             for j, tables in enumerate(moves):
                 if _sum_lists([map(node.__getitem__, t) for t in tables]).count(levels[j]) != n:
