@@ -166,7 +166,7 @@ def test_finite_average_equals_stored_node_on_multiples():
             assert node.lattice == lat and math.gcd(node.den, *node.nums) == 1
             orders = [next(m for m in itertools.count(1) if lat.contains(vscale(m * tree.q, v)))
                       for v in chain]
-            for mult in (1, 2):
+            for mult in (1, 2, 3):
                 ranges = [range(1, mult * m + 1) for m in orders]
                 count = math.prod(map(len, ranges))
                 for x in lat.quotient().residues:
