@@ -4,17 +4,18 @@ Independence of tuples, the span-uniqueness property for (d-1)-tuples,
 classification of point selections by the hyperplane they span, quotient
 dimensions modulo a subspace, and the first lattice point off a family of
 subspaces.  There is one elimination, the integer Hermite form
-`lattice._row_hnf`: every rank, span and membership question is an integer
-rank question on its rows.  The reduced row echelon form over Q, read off the
-Hermite form by back-substitution, is only the normal form that makes equal
-spans compare and hash equal.
-"""
+`lattice._row_hnf`, which gives each subspace its rows; membership and rank
+read those rows by one reduction, `_reduce`.  The reduced row echelon form
+over Q, read off the Hermite form by back-substitution, is only the normal
+form that makes equal spans compare and hash equal, and is made on first use."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
 from .errors import InputContractError, InternalError, NotIndependentError, WrongArityError
 from .lattice import _row_hnf, enumerate_points, vadd
@@ -38,39 +39,66 @@ def _rref(hermite):
     return tuple(tuple(Fraction(a, row[c]) for a in row) for c, row in reversed(done))
 
 
-@dataclass(frozen=True)
+def _reduce(rows, v):
+    """A nonzero integer multiple of v less a combination of the rows, zero at
+    each row's leading column, so zero exactly when v is in their span.  Each
+    row must vanish at the leading columns of the rows before it (Hermite rows
+    do, and appending a nonzero result keeps it so): no step refills a column."""
+    for r in rows:
+        c = 0
+        while not r[c]:
+            c += 1
+        if v[c]:
+            g = gcd(v[c], r[c])
+            a, h = v[c] // g, r[c] // g
+            v = [h * x - a * y for x, y in zip(v, r)]
+    return v
+
+
+@dataclass(frozen=True, eq=False)
 class RationalSubspace:
     """A linear subspace of Q^dim_ambient.
 
-    `rows` is the integer row Hermite form of its generators and answers
-    `dim`, `contains` and `join`; `basis`, the reduced row echelon form over Q
-    read off `rows`, is the canonical key that equality and hashing compare.
+    `dim`, `contains` and `join` read `rows`, the integer row Hermite form of
+    its generators.  `basis`, the reduced row echelon form over Q read off
+    `rows` on first use and kept, is the canonical key of `==`, hash and sort.
     """
 
     dim_ambient: int
-    basis: tuple  # rref rows as tuples of Fractions; no zero rows
-    rows: tuple = field(compare=False)  # integer row Hermite form; not canonical
+    rows: tuple  # integer row Hermite form; not canonical
 
     @staticmethod
     def from_vectors(dim_ambient, vectors):
-        rows = tuple(map(tuple, _row_hnf(vectors, dim_ambient)))
-        return RationalSubspace(dim_ambient, _rref(rows), rows)
+        return RationalSubspace(dim_ambient, tuple(map(tuple, _row_hnf(vectors, dim_ambient))))
 
     @staticmethod
     def zero(dim_ambient):
-        return RationalSubspace(dim_ambient, (), ())
+        return RationalSubspace(dim_ambient, ())
+
+    @cached_property
+    def basis(self):  # rref rows as tuples of Fractions; no zero rows
+        return _rref(self.rows)
 
     @property
     def dim(self):
         return len(self.rows)
 
     def contains(self, v):
-        """Whether adding v to the generators leaves the rank unchanged."""
-        return len(_row_hnf(self.rows + (v,), self.dim_ambient)) == len(self.rows)
+        """Whether v lies in the subspace."""
+        return not any(_reduce(self.rows, v))
 
     def join(self, vectors):
         """Span of this subspace together with extra vectors."""
+        if not vectors:
+            return self
         return RationalSubspace.from_vectors(self.dim_ambient, self.rows + tuple(vectors))
+
+    def __eq__(self, other):
+        return (isinstance(other, RationalSubspace) and self.dim_ambient == other.dim_ambient
+                and self.basis == other.basis)
+
+    def __hash__(self):
+        return hash((self.dim_ambient, self.basis))
 
     def __repr__(self):
         return f"RationalSubspace({self.dim_ambient}, {[list(map(str, r)) for r in self.basis]})"
@@ -114,24 +142,22 @@ def is_independent_tuple(t):
         witness = tuple(s[0] for s in stars if s)
         return IndependenceResult(False, witness)
     bad = _dependent_completion(stars, 0, [], ())
-    if bad is not None:
-        return IndependenceResult(False, bad)
-    return IndependenceResult(True, None)
+    return IndependenceResult(bad is None, bad)
 
 
 def _dependent_completion(stars, index, rows, chosen):
     """A dependent full selection extending the picks `chosen` from stars[:index],
-    whose Hermite form rows are `rows`; None if every branch stays independent."""
+    whose span `_reduce` reads from `rows`; None if every branch stays independent."""
     if index == len(stars):
         return None
     if not stars[index]:
         return _dependent_completion(stars, index + 1, rows, chosen)
     for v in stars[index]:
-        new_rows = _row_hnf(rows + [v], len(v))
-        if len(new_rows) == len(rows):
+        reduced = _reduce(rows, v)
+        if not any(reduced):
             tail = tuple(s[0] for s in stars[index + 1:] if s)
             return chosen + (v,) + tail
-        bad = _dependent_completion(stars, index + 1, new_rows, chosen + (v,))
+        bad = _dependent_completion(stars, index + 1, rows + [reduced], chosen + (v,))
         if bad is not None:
             return bad
     return None
@@ -186,6 +212,8 @@ def has_property_star(t):
     d = t.dim
     if len(t) != d - 1:
         raise WrongArityError(f"expected a tuple of length {d - 1}, got {len(t)}")
+    if d == 2 and is_independent_tuple(t):
+        return StarResult(True, None)
     for _, tuples in span_classes(t):
         prefix = tuples[0][:d - 2]
         for other in tuples[1:]:
@@ -197,7 +225,12 @@ def has_property_star(t):
 def vw_dimension(vectors, assignment, subset, w):
     """Dimension of the projection of span{v_j + g_j : j in subset} into Q^d / W.
 
-    Computed as the dimension of W joined with the selected shifted vectors,
+    Computed as the rank of the rows of W and the selected shifted vectors,
     minus dim W.  Indices are 0-based.
     """
-    return w.join([vadd(vectors[j], assignment[j]) for j in subset]).dim - w.dim
+    rows = list(w.rows)
+    for j in subset:
+        v = _reduce(rows, vadd(vectors[j], assignment[j]))
+        if any(v):
+            rows.append(v)
+    return len(rows) - w.dim

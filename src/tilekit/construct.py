@@ -131,20 +131,15 @@ def brother_tiles(tile, aset):
     w_list = dict.fromkeys(RationalSubspace.from_vectors(d, [p]) for p in tile.sorted_points)
     assignment = forcing_assignment(vectors, lat, list(w_list))
 
-    brothers = []
-    for j in range(d - 1):
-        shifts = {star[i]: assignment[k * j + i] for i in range(k)}
-        brothers.append(translate_by_lattice(tile, shifts, lat).points | {origin})
-    brothers = [Tile.make(d, pts) for pts in brothers]
+    brothers = [translate_by_lattice(tile, dict(zip(star, assignment[k * j:k * j + k])), lat)
+                for j in range(d - 1)]  # the origin is not shifted, so each keeps it
 
     for b in brothers:
         if not verify.is_tiling(b, aset):
             raise InternalError("companion fails to tile with the co-tile")
-    full = TileTuple.make(brothers + [tile])
-    if not is_independent_tuple(full):
+    if not is_independent_tuple(TileTuple.make(brothers + [tile])):
         raise InternalError("companion tuple is not independent")
-    star_tuple = TileTuple.make(brothers[:d - 2] + [tile])
-    if not has_property_star(star_tuple):
+    if not has_property_star(TileTuple.make(brothers[:d - 2] + [tile])):
         raise InternalError("companion tuple lacks span uniqueness")
     return TileTuple.make(brothers)
 

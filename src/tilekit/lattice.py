@@ -8,14 +8,13 @@ within each pivot row the entries to the right of the pivot are reduced into
 matrices are equal.  All arithmetic is on Python ints, so pivots and indices
 never overflow.
 
-The integer row Hermite form `_row_hnf` is the only elimination in tilekit.
-It gives the canonical bases, membership in a lattice of deficient rank (v
-lies in L when adding v leaves the canonical basis unchanged), the integer
-kernel `_integer_kernel`, the one kernel routine, on which intersections and
-every other kernel question rest, and the rank, span and membership answers
-of `analysis.RationalSubspace`, whose reduced row echelon form over Q is read
-off the Hermite form as its normal form.
-"""
+The integer row Hermite form `_row_hnf` is the only routine that builds a
+form.  It gives the canonical bases, membership in a lattice of deficient rank
+(v lies in L when adding v leaves the canonical basis unchanged), the integer
+kernel `_integer_kernel`, on which intersections and every other kernel
+question rest, and the rows of `analysis.RationalSubspace`.  Membership and
+rank there read those rows by one reduction; the reduced row echelon form over
+Q is read off them on first use."""
 
 from __future__ import annotations
 
@@ -241,13 +240,6 @@ class Lattice:
     def scale(self, r):
         """The sublattice r * L."""
         return hnf(self.dim, [vscale(r, c) for c in self.basis])
-
-    def order_of(self, v):
-        """Additive order of v in Z^dim / L (full rank only): the index of L
-        in L + Zv."""
-        if not self.is_full_rank:
-            raise RankDeficientError("order_of requires a full-rank lattice")
-        return self.index() // hnf(self.dim, self.basis + (tuple(v),)).index()
 
     def _check_dim(self, other):
         if self.dim != other.dim:

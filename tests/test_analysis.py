@@ -1,10 +1,12 @@
 import gc
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tilekit import analysis
 from tilekit.analysis import (
     RationalSubspace,
     has_property_star,
@@ -162,11 +164,12 @@ def test_vw_dimension_examples():
 
 @st.composite
 def _vectors_and_probe(draw):
-    """d, up to d + 1 vectors in [-4, 4]^d (some zero, some integer
-    combinations of earlier ones) and a probe v, drawn from their span half
-    the time."""
+    """d, up to d + 1 vectors in [-4, 4]^d or, a third of the time,
+    [-2^40, 2^40]^d (some zero, some integer combinations of earlier ones) and
+    a probe v, drawn from their span half the time."""
     d = draw(st.integers(1, 4))
-    entry = st.integers(-4, 4)
+    bound = draw(st.sampled_from([4, 4, 2 ** 40]))
+    entry = st.integers(-bound, bound)
     vectors = []
     for _ in range(draw(st.integers(0, d + 1))):
         kind = draw(st.sampled_from(["drawn", "drawn", "zero", "combination"]))
@@ -189,8 +192,8 @@ def _vectors_and_probe(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_vectors_and_probe())
 def test_span_layer_matches_sympy(case):
-    """basis is the nonzero part of sympy's RREF; dim, contains and join
-    agree with sympy ranks, members and non-members alike."""
+    """basis is the nonzero part of sympy's RREF; dim, contains, join and
+    vw_dimension agree with sympy ranks, members and non-members alike."""
     sympy = pytest.importorskip("sympy")
     d, vectors, v = case
     space = RationalSubspace.from_vectors(d, vectors)
@@ -205,3 +208,97 @@ def test_span_layer_matches_sympy(case):
     assert space.contains(v) == (joined_rank == rank)
     assert space.join([v]).dim == joined_rank
     assert space.join([v]) == RationalSubspace.from_vectors(d, vectors + [v])
+    # the projection of span{u + v} into Q^d / span{v}
+    line = RationalSubspace.from_vectors(d, [v])
+    shifted = sympy.Matrix([list(v)] + [[a + b for a, b in zip(u, v)] for u in vectors])
+    assert vw_dimension(vectors, [v] * len(vectors), range(len(vectors)), line) == \
+        shifted.rank() - line.dim
+
+
+@st.composite
+def _tuples_to_select_from(draw):
+    """A TileTuple of 1 to d tiles in Z^d, d from 2 to 4, each holding 0 and up
+    to three further points; a third of the points are integer combinations
+    of points drawn before, so dependent tuples are common."""
+    d = draw(st.integers(2, 4))
+    entry = st.integers(-3, 3)
+    drawn, tiles = [], []
+    for _ in range(draw(st.integers(1, d))):
+        points = {(0,) * d}
+        for _ in range(draw(st.integers(0, 3 if d < 4 else 2))):
+            if drawn and draw(st.integers(0, 2)) == 0:
+                a, b = draw(st.sampled_from(drawn)), draw(st.sampled_from(drawn))
+                s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+                p = tuple(s * x + t * y for x, y in zip(a, b))
+            else:
+                p = tuple(draw(entry) for _ in range(d))
+            points.add(p)
+            if any(p):
+                drawn.append(p)
+        tiles.append(Tile.make(d, points))
+    return TileTuple.make(tiles)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_tuples_to_select_from())
+def test_independence_matches_sympy_ranks_of_every_selection(t):
+    """Independent exactly when sympy gives every selection of one nonzero
+    point per active tile full rank; a witness is such a selection that sympy
+    finds dependent."""
+    sympy = pytest.importorskip("sympy")
+    stars = [sorted(tile.points - {(0,) * t.dim}) for tile in t]
+    active = [s for s in stars if s]
+
+    def full_rank(selection):
+        return sympy.Matrix(selection).rank() == len(selection)
+
+    expected = all(full_rank(sel) for sel in itertools.product(*active)) if active else True
+    res = is_independent_tuple(t)
+    assert bool(res) == expected
+    if expected:
+        assert res.witness is None
+    else:
+        assert len(res.witness) == len(active)
+        assert all(p in s for p, s in zip(res.witness, active))
+        assert not full_rank(res.witness)
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """The number of analysis._rref calls made so far."""
+    calls = []
+    real = analysis._rref
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(analysis, "_rref", counted)
+    return calls
+
+
+def test_basis_is_made_on_first_use_and_kept(rref_calls):
+    a = RationalSubspace.from_vectors(3, [(1, 2, 0), (0, 1, 1)])
+    b = RationalSubspace.from_vectors(3, [(1, 3, 1), (1, 1, -1)])
+    a.contains((2, 5, 1))
+    a.contains((0, 0, 1))
+    joined = a.join([(0, 0, 1)])
+    assert vw_dimension([(1, 0, 0)], [(0, 1, 0)], (0,), b) == 1
+    assert a.join([]) is a
+    assert RationalSubspace.zero(3).join([]).dim == 0
+    assert rref_calls == []
+    assert a == b
+    assert len(rref_calls) == 2
+    assert hash(a) == hash(b)
+    assert a.basis == b.basis
+    assert len(rref_calls) == 2
+    assert joined.basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert len(rref_calls) == 3
+    c = RationalSubspace.from_vectors(2, [(2, 4)])
+    hash(c)
+    assert len(rref_calls) == 4
+    zero = RationalSubspace.zero(2)
+    for _ in range(2):
+        assert sorted([c, zero], key=lambda s: s.basis) == [zero, c]
+        assert len(rref_calls) == 5
+        assert repr(c) == "RationalSubspace(2, [['1', '2']])"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -146,6 +147,43 @@ def test_brother_tiles_seeded_pairs():
         assert verify.is_joint_cotile(full, aset).ok
         assert is_independent_tuple(full)
         assert has_property_star(TileTuple.make(list(brothers)[:lat.dim - 2] + [f]))
+
+
+def _rectangle_companions():
+    """Sorted companion points for every a x b rectangle, a, b <= 3, but 1 x 1,
+    on each shear of its lattice co-tile, presented on the lattice and on the
+    refinement k1 = 2, k2 = 3, j = 1 of the benchmark's periodic requests."""
+    out = []
+    for a, b in itertools.product((1, 2, 3), repeat=2):
+        if a == b == 1:
+            continue
+        tile = Tile.make(2, [(x, y) for x in range(a) for y in range(b)])
+        for shear in range(a):
+            lat = hnf(2, [(a, 0), (shear, b)])
+            refined = hnf(2, [(2 * a, 0), (3 * shear + a, 3 * b)])
+            points = [(x * a + y * shear, y * b) for x in range(2) for y in range(3)]
+            for aset in (PeriodicSet.make(lat, [(0, 0)]), PeriodicSet.make(refined, points)):
+                out.append([sorted(t.points) for t in brother_tiles(tile, aset)])
+    return out
+
+
+def test_brother_tiles_rectangle_companions_pinned():
+    out = _rectangle_companions()
+    assert len(out) == 34
+    assert out[:3] == [[[(-1, 1), (0, 0)]], [[(-1, 1), (0, 0)]], [[(-1, 1), (-1, 2), (0, 0)]]]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        "bd042130a9abb21c4d48930fb336cfaeac8b7197ed3229ed03f5b97c22644980"
+
+
+def test_brother_tiles_seeded_3d_companions_pinned():
+    pins = {
+        104: [[(-3, -2, -2), (-1, -3, -2), (0, 0, 0), (2, 1, -3)],
+              [(-5, -4, -3), (-3, -5, -3), (0, -1, -4), (0, 0, 0)]],
+        105: [[(0, 0, 0), (5, -1, 1)], [(0, 0, 0), (5, -1, 2)]],
+    }
+    for lat, seed in ((Lattice.diagonal([2, 2, 1]), 104), (Lattice.diagonal([2, 1, 1]), 105)):
+        tiles, aset = seeded_independent_tuple(lat, 1, seed)
+        assert [sorted(b.points) for b in brother_tiles(tiles[0], aset)] == pins[seed]
 
 
 def test_equiv_condition_round_trip():

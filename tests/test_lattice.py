@@ -530,23 +530,6 @@ def test_function_stabilizer_matches_reference_loop(instance):
     assert fn.stabilizer() == _reference_stabilizer(lat, lambda r: labels[r])
 
 
-def _reference_order(lat, v):
-    """Additive order of v modulo lat, by repeated addition."""
-    r = lat.reduce(v)
-    acc, order = r, 1
-    while any(acc):
-        acc = lat.reduce(vadd(acc, r))
-        order += 1
-    return order
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(hnf_lattices(24), st.tuples(*[st.integers(-30, 30)] * 3))
-def test_order_of_matches_repeated_addition(lat, v):
-    v = v[:lat.dim]
-    assert lat.order_of(v) == _reference_order(lat, v)
-
-
 @st.composite
 def _rank_deficient_combinations(draw):
     """A lattice of rank below its dimension, integer coefficients for its
